@@ -18,14 +18,15 @@ from .qcore import (Eigensystem, HermitianOperator, StateVector,
                     equal_up_to_global_phase, hermitian_eigensystem, phase_distance,
                     sample_basis, spectral_gap, states_equal,
                     subspace_probability, tensor)
-from .qqaf import (AgreementParams, Machine, RelationTable,
-                   acceptance_probability, agreement_count, agreement_vector,
-                   agrees, all_inputs, bits_to_index, e_operator,
-                   index_to_bits, run)
+from .qqaf import (VERDICT_TOL, AgreementParams, Machine, RelationTable,
+                   acceptance_probability, agreement_count, agreement_table,
+                   agreement_vector, agrees, all_inputs, bits_to_index,
+                   e_operator, index_to_bits, meets_threshold, run)
 from .qsub import (EstimationResult, GoodSubspace, PreparationOperator,
                    QueryCounter, amplitude_amplify, amplitude_estimation,
-                   estimation_distribution, find_maximum, grover_iterate, qft,
-                   quantum_count)
+                   counting_cdf, estimation_distribution,
+                   find_maximum, grover_iterate, phase_distribution, qft,
+                   quantum_count, sample_estimation)
 from .relations import BUILTIN_RELATIONS, parse_relation
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ from .errors import BadTime, DegenerateGroundState, DimMismatch, ZeroGap
 from .gates import walsh_hadamard
 from .qcore import (HermitianOperator, StateVector, hermitian_eigensystem,
                     spectral_gap, subspace_probability)
-from .qqaf import AgreementParams, Machine, RelationTable, all_inputs, e_operator
+from .qqaf import (AgreementParams, Machine, RelationTable, all_inputs, e_operator,
+                   meets_threshold)
 
 
 class Verdict(enum.Enum):
@@ -81,13 +82,14 @@ def ground_state(h: HermitianOperator, gap_tol: float = 1e-9) -> StateVector:
 def accepts(inst: AeqsInstance, x: str) -> Verdict:
     """Accept/reject if the ground state puts mass >= eta on the respective set.
 
-    With eta > 1/2 at most one side can hold; neither yields UNDECIDED.
+    The comparison is ``meets_threshold``'s, so it allows VERDICT_TOL for
+    rounding.  Accepting is checked first; neither side yields UNDECIDED.
     """
     gs = ground_state(h_fin(inst, x))
     p_acc = subspace_probability(gs, inst.machine.s_acc)
-    if p_acc >= inst.eta.eta:
+    if meets_threshold(p_acc, inst.eta.eta):
         return Verdict.ACCEPT
-    if 1.0 - p_acc >= inst.eta.eta:
+    if meets_threshold(1.0 - p_acc, inst.eta.eta):
         return Verdict.REJECT
     return Verdict.UNDECIDED
 

@@ -48,6 +48,8 @@ class RunConfig:
             raise ValueError("input length n must be at least 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.reps < 1:
+            raise ValueError("reps must be at least 1")
         AgreementParams(self.eta)  # surfaces the (1/2, 1] constraint early
 
     def pool_config(self) -> PoolConfig:
@@ -191,14 +193,14 @@ def cmd_run(args) -> int:
                         sacc=_parse_sacc(args.sacc), cap=args.cap, k=args.k,
                         seed=args.seed, reps=args.reps)
         record = execute(cfg, trace)
-    except (AeqsError, ValueError) as exc:
+        text = record.to_json()
+        if args.out:  # written first, so a bad path fails before anything is printed
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except (AeqsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = record.to_json()
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return 0 if record.success else 2
 
 

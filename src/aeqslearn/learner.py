@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -21,14 +22,17 @@ from .errors import PoolTooLarge
 from .gates import (SYMBOLS, DesignTuple, GateParams, MachineEncoding,
                     SymbolDesign, serialize, walsh_hadamard)
 from .qcore import StateVector, sample_basis
-from .qqaf import AgreementParams, Machine, RelationTable, agreement_count, agreement_vector
+from .qqaf import AgreementParams, Machine, RelationTable, agreement_table
 from .qsub import (GoodSubspace, PreparationOperator, QueryCounter,
-                   amplitude_amplify, amplitude_estimation, find_maximum,
-                   quantum_count)
+                   amplitude_amplify, amplitude_estimation, counting_cdf,
+                   find_maximum, sample_estimation)
 
 Trace = Optional[Callable[[str], None]]
 
 DEFAULT_HARD_CAP = 4096
+
+# Agreement tables a pool keeps; beyond this many the least recently used is dropped.
+TABLE_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,29 @@ class MachinePool:
 
     @cached_property
     def machines(self) -> tuple[Machine, ...]:
-        return tuple(Machine(e) for e in self.encodings)
+        shared: dict = {}  # each distinct symbol unitary is built once per pool
+        return tuple(Machine(e, shared) for e in self.encodings)
+
+    @cached_property
+    def _tables(self) -> OrderedDict:
+        return OrderedDict()
+
+    def agreement_table(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
+        """The read-only (s, 2^n) agreement table, memoized on (n, members, eta).
+
+        Callers charge their own oracle queries; the memo only saves the
+        classical simulation of repeated table builds.
+        """
+        key = (rel.n, rel.members.tobytes(), params.eta)
+        table = self._tables.get(key)
+        if table is None:
+            table = agreement_table(self.machines, rel, params)
+            self._tables[key] = table
+            if len(self._tables) > TABLE_MEMO_SIZE:
+                self._tables.popitem(last=False)
+        else:
+            self._tables.move_to_end(key)
+        return table
 
 
 def _all_design_tuples(cfg: PoolConfig) -> list[DesignTuple]:
@@ -154,7 +180,7 @@ def build_joint_state(pool: MachinePool, rel: RelationTable, params: AgreementPa
     Evaluating each of the s * 2^n agreement bits costs one supervisor query.
     """
     s, n = pool.s, rel.n
-    table = np.stack([agreement_vector(mach, rel, params) for mach in pool.machines])
+    table = pool.agreement_table(rel, params)
     if counter is not None:
         counter.charge(s << n)
     amps = np.zeros((s, 1 << n, 2), dtype=complex)
@@ -191,9 +217,8 @@ class LearnReport:
     success: bool
 
 
-def _good_after_finalize(n: int) -> GoodSubspace:
-    period = 1 << (n + 1)
-    return GoodSubspace(lambda i: i % period == 1)
+def _good_after_finalize(n: int, dim: int) -> GoodSubspace:
+    return GoodSubspace(np.arange(dim) % (1 << (n + 1)) == 1)
 
 
 def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementParams,
@@ -212,7 +237,8 @@ def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPara
     joint = build_joint_state(pool, rel, params, counter)
     prepared, good_amps = finalize_preparation(joint)
     prep = PreparationOperator.from_state(prepared)
-    good = _good_after_finalize(n)
+    good = _good_after_finalize(n, prepared.dim)
+    counts = pool.agreement_table(rel, params).sum(axis=1)
     if trace:
         trace(f"pool s={pool.s}, joint dim={prepared.dim}, "
               f"good mass={float(np.sum(np.abs(good_amps) ** 2)):.6f}")
@@ -230,7 +256,7 @@ def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPara
             state = prepared
         idx = sample_basis(state, rng)
         m_idx = idx >> (n + 1)
-        count = agreement_count(pool.machines[m_idx], rel, params)
+        count = int(counts[m_idx])
         counter.charge(full)
         agree_est = full * math.sqrt(min(max(est.zeta_tilde * pool.s, 0.0), 1.0))
         if trace:
@@ -263,10 +289,12 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
     rng = np.random.default_rng(seed)
     counter = QueryCounter()
     s, n = pool.s, rel.n
-    table = np.stack([agreement_vector(mach, rel, params) for mach in pool.machines])
+    counts = pool.agreement_table(rel, params).sum(axis=1)
     counter.charge(s << n)
-    counts = table.sum(axis=1)
     brute_count = int(counts.max())
+    # counting depends on a machine only through its count, so each distinct
+    # count's outcome distribution is computed once
+    cdfs = {} if exact else {int(c): counting_cdf(int(c), n, k) for c in np.unique(counts)}
 
     best: Optional[tuple[int, int, float]] = None
     for rep in range(reps):
@@ -277,8 +305,8 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
             estimates = np.empty(s)
             for m_idx in range(s):
                 sub_rng = np.random.default_rng([seed, rep, m_idx])
-                marked = GoodSubspace.from_mask(table[m_idx])
-                estimates[m_idx], _ = quantum_count(marked, n, k, sub_rng, counter)
+                est = sample_estimation(cdfs[int(counts[m_idx])], sub_rng, counter)
+                estimates[m_idx] = est.zeta_tilde * (1 << n)
             winner = find_maximum(np.rint(estimates).astype(int), rng, counter)
         count = int(counts[winner])
         counter.charge(1 << n)
@@ -298,9 +326,9 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
 def brute_force_optimum(pool: MachinePool, rel: RelationTable,
                         params: AgreementParams) -> tuple[MachineEncoding, int]:
     """Exact linear scan for the best-agreeing machine; pool order breaks ties."""
-    counts = [agreement_count(mach, rel, params) for mach in pool.machines]
+    counts = pool.agreement_table(rel, params).sum(axis=1)
     idx = int(np.argmax(counts))
-    return pool.encodings[idx], counts[idx]
+    return pool.encodings[idx], int(counts[idx])
 
 
 def verify_condition_star(pool: MachinePool, rel: RelationTable,

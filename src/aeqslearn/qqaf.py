@@ -4,16 +4,29 @@ A machine reads the endmarked input L x_1 ... x_n R, applying one cached
 unitary per symbol to the start state |0>.  Acceptance probability is the
 mass on the accepting set; agreement with a relation at threshold eta is
 evaluated exactly from amplitudes, never by sampling.
+
+``agreement_table`` computes every machine's agreement on every input in
+one batched walk of the input trie; ``agrees`` and ``agreement_vector`` are
+the per-input reference it is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BadSymbol, LengthMismatch
-from .gates import MachineEncoding, START_STATE, SYMBOLS, symbol_unitary
-from .qcore import HermitianOperator, StateVector, subspace_probability
+from .gates import MachineEncoding, START_STATE, SYMBOLS, SymbolDesign, symbol_unitary
+from .qcore import NORM_TOL, HermitianOperator, StateVector, subspace_probability
+
+# A probability within this distance below eta still meets the threshold, so
+# that exact ties (eta = 1 reached by a state that is exactly on the
+# accepting set) do not depend on the rounding of the run's arithmetic.
+VERDICT_TOL = 1e-9
+
+# Upper bound on the amplitudes held at once by agreement_table's trie walk.
+MAX_LIVE_AMPLITUDES = 1 << 18
 
 
 def bits_to_index(x: str) -> int:
@@ -39,6 +52,11 @@ class AgreementParams:
     def __post_init__(self):
         if not 0.5 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (1/2, 1], got {self.eta}")
+
+
+def meets_threshold(p, eta: float):
+    """Does probability ``p`` (a float or an array) reach eta, up to VERDICT_TOL?"""
+    return p >= eta - VERDICT_TOL
 
 
 class RelationTable:
@@ -96,20 +114,32 @@ class RelationTable:
 
 
 class Machine:
-    """A machine encoding together with its cached symbol unitaries."""
+    """A machine encoding together with its cached symbol unitaries.
 
-    __slots__ = ("encoding", "_unitaries", "lambda0")
+    Machines built with the same ``shared`` dict, which maps (symbol design,
+    qubit count) to read-only unitary entries, build each distinct symbol
+    unitary once and share the arrays.
+    """
 
-    def __init__(self, encoding: MachineEncoding):
+    __slots__ = ("encoding", "_unitaries")
+
+    def __init__(self, encoding: MachineEncoding,
+                 shared: Optional[dict[tuple[SymbolDesign, int], np.ndarray]] = None):
         self.encoding = encoding
-        dim = encoding.states
-        self._unitaries = {
-            symbol: symbol_unitary(sd, encoding.m).entries
-            for symbol, sd in zip(SYMBOLS, encoding.symbol_designs)
-        }
-        diag = np.ones(dim)
+        cache = {} if shared is None else shared
+        self._unitaries = {}
+        for symbol, sd in zip(SYMBOLS, encoding.symbol_designs):
+            key = (sd, encoding.m)
+            if key not in cache:
+                cache[key] = symbol_unitary(sd, encoding.m).entries
+            self._unitaries[symbol] = cache[key]
+
+    @property
+    def lambda0(self) -> HermitianOperator:
+        """Projector onto the complement of the start state."""
+        diag = np.ones(self.dim)
         diag[START_STATE] = 0.0
-        self.lambda0 = HermitianOperator(np.diag(diag))
+        return HermitianOperator(np.diag(diag))
 
     @property
     def m(self) -> int:
@@ -164,9 +194,7 @@ def agrees(mach: Machine, x: str, rel: RelationTable, params: AgreementParams) -
     if len(x) != rel.n:
         raise LengthMismatch(f"input length {len(x)} vs relation length {rel.n}")
     p_acc = acceptance_probability(mach, x)
-    if rel.contains(x):
-        return p_acc >= params.eta
-    return 1.0 - p_acc >= params.eta
+    return bool(meets_threshold(p_acc if rel.contains(x) else 1.0 - p_acc, params.eta))
 
 
 def agreement_vector(mach: Machine, rel: RelationTable, params: AgreementParams) -> np.ndarray:
@@ -186,3 +214,79 @@ def e_operator(mach: Machine, x: str) -> HermitianOperator:
     """Conjugate the start-state projector complement by the word unitary."""
     u = mach.word_unitary(x)
     return HermitianOperator(u @ mach.lambda0.entries @ u.conj().T)
+
+
+def agreement_table(machines: Sequence[Machine], rel: RelationTable,
+                    params: AgreementParams) -> np.ndarray:
+    """Read-only (s, 2^n) table: entry (i, x) is ``agrees(machines[i], x, rel, params)``.
+
+    Machines with the same qubit count and symbol designs share one run per
+    input, so each distinct design set's unitaries are stacked once and the
+    input trie is walked breadth-first over the stack: every prefix state is
+    computed once, in blocks holding at most MAX_LIVE_AMPLITUDES amplitudes.
+    Only the accepting sets, applied last, differ within a design set.
+    """
+    n = rel.n
+    by_qubits: dict[int, dict[tuple, list[int]]] = {}
+    for row, mach in enumerate(machines):
+        design_sets = by_qubits.setdefault(mach.m, {})
+        design_sets.setdefault(mach.encoding.symbol_designs, []).append(row)
+    table = np.empty((len(machines), 1 << n), dtype=bool)
+    for m, design_sets in by_qubits.items():
+        dim = 1 << m
+        depth = min(n, max(0, (MAX_LIVE_AMPLITUDES // dim).bit_length() - 1))
+        max_rows = max(1, MAX_LIVE_AMPLITUDES // (dim << depth))
+        for block in _blocks(list(design_sets.values()), max_rows):
+            _fill_block(table, machines, block, rel, params, depth)
+    table.setflags(write=False)
+    return table
+
+
+def _blocks(design_sets: list[list[int]], max_rows: int):
+    """Consecutive runs of design sets holding at most ``max_rows`` machines (or one set)."""
+    block: list[list[int]] = []
+    rows = 0
+    for machine_rows in design_sets:
+        if block and rows + len(machine_rows) > max_rows:
+            yield block
+            block, rows = [], 0
+        block.append(machine_rows)
+        rows += len(machine_rows)
+    if block:
+        yield block
+
+
+def _fill_block(table: np.ndarray, machines: Sequence[Machine], block: list[list[int]],
+                rel: RelationTable, params: AgreementParams, depth: int) -> None:
+    """Verdicts for the machines of one block of design sets, 2^depth inputs at a time.
+
+    Each chunk of inputs shares its first n - depth bits; the states after
+    that common prefix are computed once per design set and then expanded
+    breadth-first over the last ``depth`` bits.
+    """
+    n = rel.n
+    # transposed unitaries, so that states @ right[sym] applies them to row vectors
+    right = {sym: np.stack([machines[rows[0]].unitary(sym).T for rows in block])
+             for sym in SYMBOLS}
+    rows = np.array([r for machine_rows in block for r in machine_rows])
+    design_of = np.repeat(np.arange(len(block)), [len(r) for r in block])
+    dim = right["L"].shape[1]
+    accepting = np.zeros((rows.size, dim))
+    for i, r in enumerate(rows):
+        accepting[i, list(machines[r].s_acc)] = 1.0
+    width = 1 << depth
+    for top in range(1 << (n - depth)):
+        states = right["L"][:, None, START_STATE, :]  # U_L |0> as (sets, 1, dim)
+        for bit in index_to_bits(top, n - depth):
+            states = states @ right[bit]
+        for _ in range(depth):
+            states = np.stack([states @ right["0"], states @ right["1"]], axis=2)
+            states = states.reshape(len(block), -1, dim)
+        probs = np.abs(states @ right["R"]) ** 2
+        defect = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
+        if defect > NORM_TOL:
+            raise ValueError(f"run state is not unit norm: max |sum |a|^2 - 1| = {defect!r}")
+        p_acc = np.einsum("mpd,md->mp", probs[design_of], accepting)
+        cols = slice(top * width, (top + 1) * width)
+        side = np.where(rel.members[cols], p_acc, 1.0 - p_acc)
+        table[rows, cols] = meets_threshold(side, params.eta)

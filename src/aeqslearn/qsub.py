@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import BadResolution, DimMismatch, ZeroAngle
+from .errors import BadResolution, DimMismatch, IndexOutOfRange, ZeroAngle
 from .qcore import StateVector, UnitaryOperator
 
 
@@ -40,30 +40,41 @@ class QueryCounter:
 
 
 class GoodSubspace:
-    """Predicate over basis indices marking the good set.
+    """Boolean table over basis indices marking the good set.
 
-    The indicator must be pure: the same index always gets the same answer.
+    A table from ``from_mask`` must cover the space exactly; one from
+    ``from_indices`` ends at its largest index and reads False beyond it.
     """
 
-    __slots__ = ("indicator",)
+    __slots__ = ("table", "padded")
 
-    def __init__(self, indicator: Callable[[int], bool]):
-        self.indicator = indicator
+    def __init__(self, table, padded: bool = False):
+        self.table = np.array(table, dtype=bool).reshape(-1)
+        self.table.setflags(write=False)
+        self.padded = padded
 
     @classmethod
     def from_indices(cls, indices) -> "GoodSubspace":
-        chosen = frozenset(int(i) for i in indices)
-        return cls(lambda i: i in chosen)
+        idx = np.fromiter((int(i) for i in indices), dtype=np.int64)
+        if idx.size and idx.min() < 0:
+            raise IndexOutOfRange(f"negative basis index {int(idx.min())}")
+        table = np.zeros(int(idx.max()) + 1 if idx.size else 0, dtype=bool)
+        table[idx] = True
+        return cls(table, padded=True)
 
     @classmethod
     def from_mask(cls, mask) -> "GoodSubspace":
-        table = np.array(mask, dtype=bool)
-        table.setflags(write=False)
-        return cls(lambda i: bool(table[i]))
+        return cls(mask)
 
     def mask(self, dim: int) -> np.ndarray:
-        return np.fromiter((bool(self.indicator(i)) for i in range(dim)),
-                           dtype=bool, count=dim)
+        size = self.table.size
+        if size == dim:
+            return self.table
+        if self.padded and size < dim:
+            out = np.zeros(dim, dtype=bool)
+            out[:size] = self.table
+            return out
+        raise DimMismatch(f"good set covers {size} indices, the space has {dim}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +119,6 @@ class PreparationOperator:
     def from_state(cls, psi: StateVector) -> "PreparationOperator":
         return cls(psi.dim, None, psi)
 
-    @classmethod
-    def uniform(cls, dim: int) -> "PreparationOperator":
-        return cls.from_state(StateVector(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)))
-
 
 def qft(k: int) -> UnitaryOperator:
     """Fourier transform on k levels: entry (d, z) is e^{2 pi i z d / k} / sqrt(k)."""
@@ -149,8 +156,8 @@ def _check_resolution(k: int) -> None:
         raise BadResolution(f"Fourier resolution must be a power of two, got {k}")
 
 
-@lru_cache(maxsize=256)
-def _phase_distribution(theta: float, k: int) -> np.ndarray:
+def phase_distribution(theta: float, k: int) -> np.ndarray:
+    """Outcome distribution over z in [0, k) of phase-estimating angle theta."""
     # Q^j on the prepared state has plane coordinates
     # (cos((2j+1) theta), sin((2j+1) theta)); the inverse-Fourier register
     # distribution is the squared DFT of those two coordinate sequences.
@@ -163,11 +170,29 @@ def _phase_distribution(theta: float, k: int) -> np.ndarray:
     return dist
 
 
+_phase_distribution = lru_cache(maxsize=256)(phase_distribution)
+
+
 def estimation_distribution(a: PreparationOperator, g: GoodSubspace, k: int) -> np.ndarray:
     """Exact outcome distribution of the estimation measurement over z in [0, k)."""
     _check_resolution(k)
     _, _, _, theta = _split(a, g)
     return _phase_distribution(theta, k)
+
+
+def sample_estimation(cdf: np.ndarray, rng: np.random.Generator,
+                      counter: Optional[QueryCounter] = None) -> EstimationResult:
+    """Draw the estimation outcome z from the cumulative distribution over [0, k).
+
+    Charges k - 1 oracle calls (the controlled powers Q, Q^2, ..., Q^{k/2}).
+    """
+    k = cdf.shape[0]
+    z = int(min(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"), k - 1))
+    if counter is not None:
+        counter.charge(k - 1)
+    theta_tilde = math.pi * z / k
+    return EstimationResult(z=z, theta_tilde=theta_tilde,
+                            zeta_tilde=math.sin(theta_tilde) ** 2, k=k)
 
 
 def amplitude_estimation(a: PreparationOperator, g: GoodSubspace, k: int,
@@ -177,14 +202,7 @@ def amplitude_estimation(a: PreparationOperator, g: GoodSubspace, k: int,
 
     Charges k - 1 oracle calls (the controlled powers Q, Q^2, ..., Q^{k/2}).
     """
-    dist = estimation_distribution(a, g, k)
-    cdf = np.cumsum(dist)
-    z = int(min(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"), k - 1))
-    if counter is not None:
-        counter.charge(k - 1)
-    theta_tilde = math.pi * z / k
-    return EstimationResult(z=z, theta_tilde=theta_tilde,
-                            zeta_tilde=math.sin(theta_tilde) ** 2, k=k)
+    return sample_estimation(np.cumsum(estimation_distribution(a, g, k)), rng, counter)
 
 
 def amplitude_amplify(a: PreparationOperator, g: GoodSubspace, theta_tilde: float,
@@ -212,15 +230,25 @@ def amplitude_amplify(a: PreparationOperator, g: GoodSubspace, theta_tilde: floa
     return StateVector(amps)
 
 
+def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
+    """Cumulative estimation distribution for counting ``count`` marked strings of 2^n.
+
+    Under the uniform preparation the good-amplitude angle is
+    asin(sqrt(count / 2^n)), so no state needs to be built.
+    """
+    _check_resolution(k)
+    return np.cumsum(phase_distribution(math.asin(math.sqrt(count / (1 << n))), k))
+
+
 def quantum_count(marked: GoodSubspace, n: int, k: int, rng: np.random.Generator,
                   counter: Optional[QueryCounter] = None) -> tuple[float, EstimationResult]:
     """Estimate the size of a marked subset of {0,1}^n as zeta_tilde * 2^n.
 
     Uses the uniform superposition as preparation, so the estimation angle
-    satisfies sin^2(theta) = |marked| / 2^n exactly.
+    satisfies sin^2(theta) = |marked| / 2^n exactly (see ``counting_cdf``).
     """
-    prep = PreparationOperator.uniform(1 << n)
-    result = amplitude_estimation(prep, marked, k, rng, counter)
+    count = int(np.count_nonzero(marked.mask(1 << n)))
+    result = sample_estimation(counting_cdf(count, n, k), rng, counter)
     return result.zeta_tilde * (1 << n), result
 
 

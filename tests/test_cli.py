@@ -92,6 +92,23 @@ class TestRunCommand:
                        "--trace", "--seed", "0", *SMALL)
         assert "trace:" in proc.stderr
 
+    def test_zero_reps_is_a_usage_error(self):
+        proc = run_cli("run", "--relation", "eq", "--n", "2", *SMALL, "--reps", "0")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "reps" in proc.stderr
+
+    def test_relation_directory_is_an_input_error(self, tmp_path):
+        proc = run_cli("run", "--relation", str(tmp_path), "--n", "2", *SMALL)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_out_into_missing_directory_prints_no_record(self, tmp_path):
+        proc = run_cli("run", "--relation", "eq", "--n", "2", "--algorithm", "brute",
+                       "--out", str(tmp_path / "missing" / "record.json"), *SMALL)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
     def test_sacc_flag(self):
         proc = run_cli("run", "--relation", "all", "--n", "2",
                        "--sacc", "0", "--sacc", "0,1", *SMALL)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from conftest import QUARTER_TURN, WH_PARAMS, gate_design, make_machine
 
-from aeqslearn import (AgreementParams, Machine, RelationTable,
-                       acceptance_probability, agreement_count, agrees,
-                       all_inputs, basis_state, bits_to_index, e_operator,
-                       hermitian_eigensystem, index_to_bits, run,
-                       sample_encoding, states_equal, symbol_unitary)
+from aeqslearn import (AeqsInstance, AgreementParams, GateParams, Machine,
+                       MachineEncoding, RelationTable, Verdict, accepts,
+                       acceptance_probability, agreement_count, agreement_table,
+                       agreement_vector, agrees, all_inputs, basis_state,
+                       bits_to_index, e_operator, hermitian_eigensystem,
+                       index_to_bits, run, sample_encoding, states_equal,
+                       symbol_unitary)
+from aeqslearn import qqaf
 from aeqslearn.errors import BadSymbol, LengthMismatch
 
 ETA = AgreementParams(0.9)
@@ -174,7 +177,6 @@ class TestAgreementCount:
 
 
 def make_complement(enc, states):
-    from aeqslearn import MachineEncoding
     comp = tuple(i for i in range(states) if i not in enc.s_acc)
     return MachineEncoding(enc.m, comp, enc.symbol_designs)
 
@@ -211,3 +213,56 @@ def test_agreement_boundary_tie_is_exact():
 
 def test_all_inputs_order():
     assert list(all_inputs(2)) == ["00", "01", "10", "11"]
+
+
+def test_exact_one_reached_up_to_rounding_meets_eta_one():
+    # a three-quarter turn on R sends |0> to |1> exactly, but in floats the
+    # accepting mass comes out as 0.9999999999999998; at eta = 1 it must
+    # still count as reaching the threshold, on every path forming a verdict
+    mach = make_machine(s_acc=(1,), R=gate_design(GateParams(7, 4, 6, 1, 8)))
+    rel = RelationTable.from_predicate(1, lambda x: True)
+    eta = AgreementParams(1.0)
+    assert 1.0 - qqaf.VERDICT_TOL < acceptance_probability(mach, "0") < 1.0
+    assert agrees(mach, "0", rel, eta)
+    assert agreement_table([mach], rel, eta).all()
+    assert accepts(AeqsInstance(mach, eta), "0") is Verdict.ACCEPT
+
+
+def random_pools(count):
+    """Machine lists drawn as the table must handle them.
+
+    Qubit counts are mixed within a pool, grids vary per pool, and about a
+    third of the encodings come with a twin holding the complementary
+    accepting set, which shares its design set.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        d = int(rng.choice([1, 2, 4, 8]))
+        n = int(rng.integers(1, 5))
+        encs = []
+        for _ in range(int(rng.integers(4, 24))):
+            enc = sample_encoding(rng, m=int(rng.integers(1, 3)), d=d,
+                                  l_tuples=2, l_designs=2)
+            encs.append(enc)
+            if rng.random() < 0.35:
+                encs.append(make_complement(enc, 1 << enc.m))
+        shared = {}
+        yield [Machine(e, shared) for e in encs], RelationTable(
+            n, rng.integers(2, size=1 << n).astype(bool))
+
+
+@pytest.mark.parametrize("live", [qqaf.MAX_LIVE_AMPLITUDES, 8])
+def test_agreement_table_matches_per_input_reference(monkeypatch, live):
+    # live = 8 forces blocks of one design set and input chunks of two or
+    # four strings, so the blocked walk is checked against the same reference
+    monkeypatch.setattr(qqaf, "MAX_LIVE_AMPLITUDES", live)
+    verdicts = 0
+    for machines, rel in random_pools(40):
+        for eta in (0.75, 0.9, 1.0):
+            params = AgreementParams(eta)
+            table = agreement_table(machines, rel, params)
+            reference = np.stack([agreement_vector(m, rel, params) for m in machines])
+            assert not table.flags.writeable
+            assert np.array_equal(table, reference), (eta, rel)
+            verdicts += table.size
+    assert verdicts > 10_000

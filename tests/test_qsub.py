@@ -6,9 +6,10 @@ from conftest import random_state, random_unitary
 
 from aeqslearn import (GoodSubspace, PreparationOperator, QueryCounter,
                        StateVector, UnitaryOperator, amplitude_amplify,
-                       amplitude_estimation, estimation_distribution,
-                       find_maximum, grover_iterate, qft, quantum_count)
-from aeqslearn.errors import BadResolution, ZeroAngle
+                       amplitude_estimation, counting_cdf, estimation_distribution,
+                       find_maximum, grover_iterate, qft, quantum_count,
+                       sample_estimation)
+from aeqslearn.errors import BadResolution, DimMismatch, ZeroAngle
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -227,6 +228,30 @@ class TestQuantumCount:
                                    np.random.default_rng(seed))
             assert est == pytest.approx(16.0)
 
+    def test_closed_form_angle_matches_dense_distribution(self):
+        # counting reads the angle from the marked count alone; on the uniform
+        # preparation that must give the distribution the state-level
+        # estimation gives, for every count and wherever the marked set lies
+        rng = np.random.default_rng(41)
+        k = 64
+        for n in range(7):
+            dim = 1 << n
+            uniform = PreparationOperator.from_state(
+                StateVector(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)))
+            for c in range(dim + 1):
+                mask = np.zeros(dim, dtype=bool)
+                mask[rng.permutation(dim)[:c]] = True
+                dense = estimation_distribution(uniform, GoodSubspace.from_mask(mask), k)
+                closed = np.diff(counting_cdf(c, n, k), prepend=0.0)
+                assert np.max(np.abs(closed - dense)) <= 1e-12, (n, c)
+
+    def test_shared_sampler_reproduces_quantum_count(self):
+        marked = GoodSubspace.from_indices([1, 5, 6])
+        for seed in range(20):
+            est, result = quantum_count(marked, 3, 256, np.random.default_rng(seed))
+            again = sample_estimation(counting_cdf(3, 3, 256), np.random.default_rng(seed))
+            assert again == result and est == result.zeta_tilde * 8
+
     def test_single_marked_error_bound(self):
         # counting one item out of four at k = 1024: the standard error bound
         # 2 pi sqrt(c N)/k + pi^2 N / k^2 should hold on a healthy fraction
@@ -273,3 +298,18 @@ class TestFindMaximum:
             vals = np.random.default_rng(1).integers(0, 100, size=n_items)
             find_maximum(vals, np.random.default_rng(2), counter)
             assert counter.oracle_calls <= 15 * math.sqrt(n_items) * math.log2(n_items)
+
+
+class TestGoodSubspace:
+    def test_mask_must_cover_the_space(self):
+        good = GoodSubspace.from_mask([True, False, True, False])
+        assert good.mask(4).tolist() == [True, False, True, False]
+        with pytest.raises(DimMismatch):
+            good.mask(8)
+
+    def test_indices_pad_up_to_the_space(self):
+        good = GoodSubspace.from_indices([0, 2])
+        assert good.mask(5).tolist() == [True, False, True, False, False]
+        assert not GoodSubspace.from_indices([]).mask(3).any()
+        with pytest.raises(DimMismatch):
+            good.mask(2)
