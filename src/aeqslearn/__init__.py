@@ -24,7 +24,7 @@ from .qqaf import (VERDICT_TOL, AgreementParams, Machine, RelationTable,
                    e_operator, index_to_bits, meets_threshold, run)
 from .qsub import (EstimationResult, GoodSubspace, PreparationOperator,
                    QueryCounter, amplitude_amplify, amplitude_estimation,
-                   counting_cdf, estimation_distribution,
+                   counting_cdf, estimation_distribution, estimation_outcomes,
                    find_maximum, grover_iterate, phase_distribution, qft,
                    quantum_count, sample_estimation)
 from .relations import BUILTIN_RELATIONS, parse_relation

@@ -19,6 +19,7 @@ from .gates import canonical_text
 from .learner import (LearnReport, PoolConfig, Trace, brute_force_optimum,
                       enumerate_pool, first_algorithm, second_algorithm)
 from .qqaf import AgreementParams
+from .qsub import check_resolution
 from .relations import parse_relation
 from .suites import SUITES, run_suites
 
@@ -50,6 +51,9 @@ class RunConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_resolution(self.k)
         AgreementParams(self.eta)  # surfaces the (1/2, 1] constraint early
 
     def pool_config(self) -> PoolConfig:

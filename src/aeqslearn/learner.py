@@ -25,7 +25,7 @@ from .qcore import StateVector, sample_basis
 from .qqaf import AgreementParams, Machine, RelationTable, agreement_table
 from .qsub import (GoodSubspace, PreparationOperator, QueryCounter,
                    amplitude_amplify, amplitude_estimation, counting_cdf,
-                   find_maximum, sample_estimation)
+                   estimation_outcomes, find_maximum)
 
 Trace = Optional[Callable[[str], None]]
 
@@ -138,13 +138,14 @@ def enumerate_pool(cfg: PoolConfig) -> MachinePool:
         SymbolDesign(combo)
         for combo in itertools.product(tuples, repeat=cfg.l_designs)
     ]
-    encodings = []
-    for s_acc in cfg.s_acc_choices:
-        acc = tuple(sorted(set(int(i) for i in s_acc)))
-        for combo in itertools.product(symbol_designs, repeat=len(SYMBOLS)):
-            encodings.append(MachineEncoding(cfg.m, acc, combo))
-    unique = {serialize(e): e for e in encodings}
-    return MachinePool(tuple(unique.values()))
+    # distinct designs make distinct encodings, so duplicates can only come from
+    # accepting-set choices that coincide once normalized
+    accs = dict.fromkeys(tuple(sorted(set(int(i) for i in s_acc)))
+                         for s_acc in cfg.s_acc_choices)
+    return MachinePool(tuple(
+        MachineEncoding(cfg.m, acc, combo)
+        for acc in accs
+        for combo in itertools.product(symbol_designs, repeat=len(SYMBOLS))))
 
 
 class JointLearningState:
@@ -274,27 +275,45 @@ def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPara
                        repetitions=done, seed=seed, success=count == full)
 
 
+def seeded_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The main generator of a ``second_algorithm`` call and its counting stream.
+
+    The main generator equals ``default_rng(seed)``; the counting stream is
+    seeded from a child spawned off the same SeedSequence, so it is
+    independent of the main stream.  (``SeedSequence([seed, 0])`` would not
+    be: trailing zero words leave the state of ``SeedSequence(seed)``
+    unchanged.)
+    """
+    root = np.random.SeedSequence(seed)
+    return np.random.default_rng(root), np.random.default_rng(root.spawn(1)[0])
+
+
 def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementParams,
                      *, k: int = 1024, seed: int = 0, reps: int = 5,
                      exact: bool = False, trace: Trace = None) -> LearnReport:
     """Pick the machine maximizing the agreement count with the relation.
 
-    Each round estimates every machine's agreement count by quantum counting
-    (under a per-machine derived seed), then runs the threshold maximum
-    search over the rounded table; the candidate with the best exactly
-    verified count across rounds wins.  With ``exact`` set, counting and
-    maximum finding are both replaced by their classical scans, which makes
-    the procedure coincide with the brute-force oracle.
+    Each round estimates every machine's agreement count by quantum counting,
+    drawing the s outcomes at once from the counting stream of
+    ``seeded_streams``, then runs the threshold maximum search over the
+    rounded table with the main generator; the candidate with the best
+    exactly verified count across rounds wins.  With ``exact`` set, counting
+    and maximum finding are both replaced by their classical scans, which
+    makes the procedure coincide with the brute-force oracle.
     """
-    rng = np.random.default_rng(seed)
+    rng, counting = seeded_streams(seed)
     counter = QueryCounter()
     s, n = pool.s, rel.n
     counts = pool.agreement_table(rel, params).sum(axis=1)
     counter.charge(s << n)
     brute_count = int(counts.max())
     # counting depends on a machine only through its count, so each distinct
-    # count's outcome distribution is computed once
-    cdfs = {} if exact else {int(c): counting_cdf(int(c), n, k) for c in np.unique(counts)}
+    # count's outcome distribution is computed once, for all machines holding it
+    groups = []
+    if not exact:
+        values, inverse = np.unique(counts, return_inverse=True)
+        groups = [(counting_cdf(int(c), n, k), np.flatnonzero(inverse == i))
+                  for i, c in enumerate(values)]
 
     best: Optional[tuple[int, int, float]] = None
     for rep in range(reps):
@@ -302,11 +321,12 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
             estimates = counts.astype(float)
             winner = int(np.argmax(estimates))
         else:
+            uniforms = counting.random(s)
             estimates = np.empty(s)
-            for m_idx in range(s):
-                sub_rng = np.random.default_rng([seed, rep, m_idx])
-                est = sample_estimation(cdfs[int(counts[m_idx])], sub_rng, counter)
-                estimates[m_idx] = est.zeta_tilde * (1 << n)
+            for cdf, members in groups:
+                _, _, zeta_tilde = estimation_outcomes(cdf, uniforms[members])
+                estimates[members] = zeta_tilde * (1 << n)
+            counter.charge(s * (k - 1))
             winner = find_maximum(np.rint(estimates).astype(int), rng, counter)
         count = int(counts[winner])
         counter.charge(1 << n)

@@ -151,9 +151,10 @@ def grover_iterate(a: PreparationOperator, g: GoodSubspace) -> UnitaryOperator:
     return UnitaryOperator(c_a * signs[np.newaxis, :])
 
 
-def _check_resolution(k: int) -> None:
+def check_resolution(k: int) -> None:
+    """Raise BadResolution unless the Fourier resolution k is a power of two."""
     if k < 1 or k & (k - 1):
-        raise BadResolution(f"Fourier resolution must be a power of two, got {k}")
+        raise BadResolution(f"Fourier resolution k must be a power of two, got {k}")
 
 
 def phase_distribution(theta: float, k: int) -> np.ndarray:
@@ -175,9 +176,27 @@ _phase_distribution = lru_cache(maxsize=256)(phase_distribution)
 
 def estimation_distribution(a: PreparationOperator, g: GoodSubspace, k: int) -> np.ndarray:
     """Exact outcome distribution of the estimation measurement over z in [0, k)."""
-    _check_resolution(k)
+    check_resolution(k)
     _, _, _, theta = _split(a, g)
     return _phase_distribution(theta, k)
+
+
+def estimation_outcomes(cdf: np.ndarray, uniforms: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map uniforms in [0, 1) through the cumulative distribution over [0, k).
+
+    Returns the outcomes z and their estimates theta~ = pi z / k and
+    zeta~ = sin^2(theta~), one entry per uniform.  Charges nothing.
+    """
+    k = cdf.shape[0]
+    z = np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), k - 1)
+    theta_tilde = math.pi * z / k
+    # zeta~ on Python floats, one evaluation per distinct z: numpy's square of a
+    # float64 can differ from Python's x ** 2 in the last bit, and records must not
+    # depend on which path drew the outcome
+    values, inverse = np.unique(z, return_inverse=True)
+    zeta_tilde = np.array([math.sin(math.pi * int(v) / k) ** 2 for v in values])[inverse]
+    return z, theta_tilde, zeta_tilde
 
 
 def sample_estimation(cdf: np.ndarray, rng: np.random.Generator,
@@ -187,12 +206,11 @@ def sample_estimation(cdf: np.ndarray, rng: np.random.Generator,
     Charges k - 1 oracle calls (the controlled powers Q, Q^2, ..., Q^{k/2}).
     """
     k = cdf.shape[0]
-    z = int(min(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"), k - 1))
+    z, theta_tilde, zeta_tilde = estimation_outcomes(cdf, rng.random(1))
     if counter is not None:
         counter.charge(k - 1)
-    theta_tilde = math.pi * z / k
-    return EstimationResult(z=z, theta_tilde=theta_tilde,
-                            zeta_tilde=math.sin(theta_tilde) ** 2, k=k)
+    return EstimationResult(z=int(z[0]), theta_tilde=float(theta_tilde[0]),
+                            zeta_tilde=float(zeta_tilde[0]), k=k)
 
 
 def amplitude_estimation(a: PreparationOperator, g: GoodSubspace, k: int,
@@ -236,7 +254,7 @@ def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
     Under the uniform preparation the good-amplitude angle is
     asin(sqrt(count / 2^n)), so no state needs to be built.
     """
-    _check_resolution(k)
+    check_resolution(k)
     return np.cumsum(phase_distribution(math.asin(math.sqrt(count / (1 << n))), k))
 
 

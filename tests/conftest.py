@@ -1,6 +1,12 @@
-"""Shared encoding factories for the tests."""
+"""Shared encoding factories and the CLI subprocess runner for the tests."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import aeqslearn
 from aeqslearn import (DesignTuple, GateParams, Machine, MachineEncoding,
                        SymbolDesign, SYMBOLS)
 
@@ -40,3 +46,16 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return z / np.linalg.norm(z)
+
+
+def run_cli(*args):
+    """Run ``python -m aeqslearn`` on the package these tests imported.
+
+    The child gets that package's parent directory in front of PYTHONPATH, so
+    it needs neither an install nor a PYTHONPATH set by the caller.
+    """
+    src = str(Path(aeqslearn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "aeqslearn", *args],
+                          capture_output=True, text=True, env=env)

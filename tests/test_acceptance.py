@@ -5,13 +5,11 @@ tolerance is pinned here, not configurable.
 """
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
-from conftest import QUARTER_TURN, gate_design, make_encoding
+from conftest import QUARTER_TURN, gate_design, make_encoding, run_cli
 
 from aeqslearn import (AgreementParams, MachinePool, PoolConfig, RelationTable,
                        agreement_count, brute_force_optimum, build_joint_state,
@@ -175,8 +173,7 @@ def test_criterion_9_run_record_determinism():
     for args in variants:
         records = []
         for _ in range(2):
-            proc = subprocess.run([sys.executable, "-m", "aeqslearn", *args],
-                                  capture_output=True, text=True)
+            proc = run_cli(*args)
             assert proc.returncode in (0, 2), proc.stderr
             rec = json.loads(proc.stdout)
             rec.pop("wall_time_ms")

@@ -1,19 +1,13 @@
 import json
-import subprocess
-import sys
 
 import pytest
+from conftest import run_cli
 
 from aeqslearn import RunConfig, execute
 
 SMALL = ["--m", "1", "--grid", "1", "--ltuples", "1", "--ldesigns", "1",
          "--k", "256", "--reps", "3"]
 SMALL_KW = dict(m=1, grid=1, ltuples=1, ldesigns=1, k=256, reps=3)
-
-
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "aeqslearn", *args],
-                          capture_output=True, text=True)
 
 
 def record_of(proc):
@@ -96,6 +90,20 @@ class TestRunCommand:
         proc = run_cli("run", "--relation", "eq", "--n", "2", *SMALL, "--reps", "0")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "reps" in proc.stderr
+
+    def test_negative_seed_is_a_usage_error(self):
+        proc = run_cli("run", "--relation", "eq", "--n", "2", "--algorithm", "brute",
+                       *SMALL, "--seed", "-1")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "seed" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_resolution_not_a_power_of_two_is_a_usage_error(self):
+        proc = run_cli("run", "--relation", "eq", "--n", "2", "--algorithm", "brute",
+                       *SMALL, "--k", "3")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "resolution k " in proc.stderr
+        assert proc.stdout == ""
 
     def test_relation_directory_is_an_input_error(self, tmp_path):
         proc = run_cli("run", "--relation", str(tmp_path), "--n", "2", *SMALL)

@@ -11,7 +11,7 @@ from aeqslearn import (AgreementParams, GateParams, MachinePool, PoolConfig,
                        pool_size, sample_encoding, second_algorithm, serialize,
                        verify_condition_star)
 from aeqslearn.errors import PoolTooLarge
-from aeqslearn.learner import JointLearningState
+from aeqslearn.learner import JointLearningState, seeded_streams
 
 ETA = AgreementParams(0.9)
 
@@ -64,6 +64,14 @@ class TestEnumeratePool:
         b = [serialize(e) for e in enumerate_pool(cfg).encodings]
         assert a == b
         assert a == sorted(a)
+
+    def test_repeated_accepting_sets_enumerate_the_deduplicated_pool(self):
+        def pool_bytes(choices):
+            cfg = PoolConfig(m=2, d=1, l_tuples=0, l_designs=1, s_acc_choices=choices)
+            return [serialize(e) for e in enumerate_pool(cfg).encodings]
+
+        assert (pool_bytes(((0, 1), (1, 0), (3,), (0, 0, 1), (3, 3)))
+                == pool_bytes(((0, 1), (3,))))
 
     def test_too_large_pool_is_rejected(self):
         cfg = PoolConfig(m=1, d=2, l_tuples=1, l_designs=1)
@@ -196,6 +204,22 @@ class TestSecondAlgorithm:
         assert report.chosen == pool.encodings[0]
         assert report.true_agreement == agreement_count(pool.machines[0], rel, ETA)
         assert report.success
+
+    def test_single_machine_query_ledger(self):
+        # at N = 1 maximum finding charges nothing, leaving the table build,
+        # then per round one counting run and one verification
+        pool = MachinePool((make_encoding(s_acc=(0,)),))
+        for n, k, reps in ((1, 64, 1), (2, 256, 3), (3, 1024, 5)):
+            rel = RelationTable.from_predicate(n, lambda x: x.count("1") % 2 == 0)
+            report = second_algorithm(pool, rel, ETA, k=k, seed=0, reps=reps)
+            assert report.oracle_queries == (1 << n) + reps * ((k - 1) + (1 << n))
+
+    def test_counting_stream_is_not_the_main_stream(self):
+        for seed in range(10):
+            main, counting = seeded_streams(seed)
+            reference = np.random.default_rng(seed).random(4)
+            assert np.array_equal(main.random(4), reference)
+            assert not np.any(counting.random(4) == reference)
 
     def test_tied_pool_always_succeeds(self):
         pool = identity_pool()

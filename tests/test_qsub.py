@@ -7,8 +7,8 @@ from conftest import random_state, random_unitary
 from aeqslearn import (GoodSubspace, PreparationOperator, QueryCounter,
                        StateVector, UnitaryOperator, amplitude_amplify,
                        amplitude_estimation, counting_cdf, estimation_distribution,
-                       find_maximum, grover_iterate, qft, quantum_count,
-                       sample_estimation)
+                       estimation_outcomes, find_maximum, grover_iterate, qft,
+                       quantum_count, sample_estimation)
 from aeqslearn.errors import BadResolution, DimMismatch, ZeroAngle
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
@@ -251,6 +251,15 @@ class TestQuantumCount:
             est, result = quantum_count(marked, 3, 256, np.random.default_rng(seed))
             again = sample_estimation(counting_cdf(3, 3, 256), np.random.default_rng(seed))
             assert again == result and est == result.zeta_tilde * 8
+        # the array form maps fixed uniforms exactly as repeated scalar draws do
+        for c, k in ((0, 64), (3, 256), (5, 1024), (8, 1024)):
+            cdf = counting_cdf(c, 3, k)
+            uniforms = np.random.default_rng(c).random(300)
+            z, theta, zeta = estimation_outcomes(cdf, uniforms)
+            rng = np.random.default_rng(c)
+            for i in range(uniforms.size):
+                one = sample_estimation(cdf, rng)
+                assert (one.z, one.theta_tilde, one.zeta_tilde) == (z[i], theta[i], zeta[i])
 
     def test_single_marked_error_bound(self):
         # counting one item out of four at k = 1024: the standard error bound
