@@ -9,10 +9,10 @@ from .gates import (DEFAULT_GRID, SYMBOLS, DesignTuple, GateParams,
                     deserialize, design_unitary, is_admissible, lifted_unitary,
                     serialize, single_qubit_unitary, symbol_unitary,
                     walsh_hadamard)
-from .learner import (JointLearningState, LearnReport, MachinePool, PoolConfig,
-                      brute_force_optimum, build_joint_state, enumerate_pool,
-                      finalize_preparation, first_algorithm, pool_size,
-                      sample_encoding, second_algorithm, verify_condition_star)
+from .learner import (LearnReport, MachinePool, PoolConfig, brute_force_optimum,
+                      enumerate_pool, first_algorithm, pool_size,
+                      prepared_weights, sample_encoding, second_algorithm,
+                      verify_condition_star)
 from .qcore import (Eigensystem, HermitianOperator, StateVector,
                     UnitaryOperator, basis_state, dis, epsilon_close,
                     equal_up_to_global_phase, hermitian_eigensystem, phase_distance,
@@ -23,10 +23,11 @@ from .qqaf import (VERDICT_TOL, AgreementParams, Machine, RelationTable,
                    agreement_vector, agrees, all_inputs, bits_to_index,
                    e_operator, index_to_bits, meets_threshold, run)
 from .qsub import (EstimationResult, GoodSubspace, PreparationOperator,
-                   QueryCounter, amplitude_amplify, amplitude_estimation,
-                   counting_cdf, estimation_distribution, estimation_outcomes,
-                   find_maximum, grover_iterate, phase_distribution, qft,
-                   quantum_count, sample_estimation)
+                   QueryCounter, amplified_good_probability, amplified_marginal,
+                   amplitude_amplify, amplitude_estimation, counting_cdf,
+                   estimation_cdf, estimation_distribution, estimation_outcomes,
+                   find_maximum, good_angle, grover_iterate, phase_distribution,
+                   qft, quantum_count, sample_amplified, sample_estimation)
 from .relations import BUILTIN_RELATIONS, parse_relation
 
 __version__ = "0.1.0"

@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import PoolTooLarge
 from .gates import (SYMBOLS, DesignTuple, GateParams, MachineEncoding,
-                    SymbolDesign, serialize, walsh_hadamard)
-from .qcore import StateVector, sample_basis
+                    SymbolDesign, serialize)
 from .qqaf import AgreementParams, Machine, RelationTable, agreement_table
-from .qsub import (GoodSubspace, PreparationOperator, QueryCounter,
-                   amplitude_amplify, amplitude_estimation, counting_cdf,
-                   estimation_outcomes, find_maximum)
+from .qsub import (QueryCounter, counting_cdf, estimation_cdf,
+                   estimation_outcomes, find_maximum, good_angle,
+                   sample_amplified, sample_estimation)
 
 Trace = Optional[Callable[[str], None]]
 
@@ -148,63 +147,6 @@ def enumerate_pool(cfg: PoolConfig) -> MachinePool:
         for combo in itertools.product(symbol_designs, repeat=len(SYMBOLS))))
 
 
-class JointLearningState:
-    """Machine x input x agreement-bit register state used by the trainers.
-
-    Within every (machine, input) branch the agreement bit is classical: at
-    most one of its two levels carries amplitude.
-    """
-
-    __slots__ = ("state", "n")
-
-    def __init__(self, state: StateVector, n: int):
-        period = 1 << (n + 1)
-        if state.dim % period:
-            raise ValueError(f"state dim {state.dim} not divisible by 2^(n+1)")
-        branch = state.amplitudes.reshape(-1, 2)
-        if float(np.min(np.abs(branch), axis=1).max()) > 1e-9:
-            raise ValueError("agreement bit is in superposition within a branch")
-        self.state = state
-        self.n = n
-
-    @property
-    def s(self) -> int:
-        return self.state.dim >> (self.n + 1)
-
-
-def build_joint_state(pool: MachinePool, rel: RelationTable, params: AgreementParams,
-                      counter: Optional[QueryCounter] = None) -> JointLearningState:
-    """Uniform machine register tensor phase-flipped inputs tensor agreement bits.
-
-    Branch (machine, x) gets amplitude xi / sqrt(s 2^n) on its agreement bit,
-    with xi = -1 exactly when the machine agrees with the relation on x.
-    Evaluating each of the s * 2^n agreement bits costs one supervisor query.
-    """
-    s, n = pool.s, rel.n
-    table = pool.agreement_table(rel, params)
-    if counter is not None:
-        counter.charge(s << n)
-    amps = np.zeros((s, 1 << n, 2), dtype=complex)
-    signs = np.where(table, -1.0, 1.0) / math.sqrt(s * (1 << n))
-    rows = np.arange(s)[:, None]
-    cols = np.arange(1 << n)[None, :]
-    amps[rows, cols, table.astype(int)] = signs
-    return JointLearningState(StateVector(amps.ravel()), n)
-
-
-def finalize_preparation(joint: JointLearningState) -> tuple[StateVector, np.ndarray]:
-    """Fold the input register back through the Hadamard transform.
-
-    The amplitude on |machine>|0^n>|1> becomes -f/sqrt(s) where f is that
-    machine's agreement fraction; those amplitudes are returned per machine.
-    """
-    s, n = joint.s, joint.n
-    arr = joint.state.amplitudes.reshape(s, 1 << n, 2)
-    h = walsh_hadamard(n).entries
-    out = np.einsum("ab,mbr->mar", h, arr)
-    return StateVector(out.ravel()), out[:, 0, 1].copy()
-
-
 @dataclass(frozen=True)
 class LearnReport:
     """Outcome of one learning run, verified against the classical oracle."""
@@ -218,8 +160,17 @@ class LearnReport:
     success: bool
 
 
-def _good_after_finalize(n: int, dim: int) -> GoodSubspace:
-    return GoodSubspace(np.arange(dim) % (1 << (n + 1)) == 1)
+def prepared_weights(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-machine good and bad weights of the first algorithm's prepared state.
+
+    Uniform machines, agreement phase flips on every input, then the input
+    register folded back through the Hadamard transform leave -f/sqrt(s) on
+    |machine>|0^n>|1>, f = counts/2^n: the good weight is f^2/s and the rest
+    of the machine's 1/s is bad.
+    """
+    s = counts.shape[0]
+    squares = (counts / (1 << n)) ** 2
+    return squares / s, (1.0 - squares) / s
 
 
 def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementParams,
@@ -231,35 +182,36 @@ def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPara
     and measures a candidate machine; a cheap classical scan then checks the
     candidate for full agreement.  Stops at the first fully agreeing machine,
     else after ``reps`` rounds returns the best candidate with success False.
+    The state is simulated on its good/bad plane (``prepared_weights``), so a
+    round costs O(s) whatever n.
     """
     rng = np.random.default_rng(seed)
     counter = QueryCounter()
-    n = rel.n
-    joint = build_joint_state(pool, rel, params, counter)
-    prepared, good_amps = finalize_preparation(joint)
-    prep = PreparationOperator.from_state(prepared)
-    good = _good_after_finalize(n, prepared.dim)
-    counts = pool.agreement_table(rel, params).sum(axis=1)
-    if trace:
-        trace(f"pool s={pool.s}, joint dim={prepared.dim}, "
-              f"good mass={float(np.sum(np.abs(good_amps) ** 2)):.6f}")
-
+    s, n = pool.s, rel.n
     full = 1 << n
+    counts = pool.agreement_table(rel, params).sum(axis=1)
+    counter.charge(s << n)
+    good, bad = prepared_weights(counts, n)
+    good_mass = float(good.sum())
+    theta = good_angle(good_mass)
+    cdf = estimation_cdf(theta, k)
+    if trace:
+        trace(f"pool s={s}, theta={theta:.6f}, good mass={good_mass:.6f}")
+
     best: Optional[tuple[int, int, float]] = None  # (count, machine index, estimate)
     done = 0
     for rep in range(reps):
         done = rep + 1
-        est = amplitude_estimation(prep, good, k, rng, counter)
+        est = sample_estimation(cdf, rng, counter)
         folded = min(est.theta_tilde, math.pi - est.theta_tilde)
+        iterations = 0
         if folded > 1e-12:
-            state = amplitude_amplify(prep, good, folded, counter)
-        else:
-            state = prepared
-        idx = sample_basis(state, rng)
-        m_idx = idx >> (n + 1)
+            iterations = math.floor(math.pi / (4.0 * folded))
+            counter.charge(iterations)
+        m_idx = sample_amplified(good, bad, theta, iterations, rng)
         count = int(counts[m_idx])
         counter.charge(full)
-        agree_est = full * math.sqrt(min(max(est.zeta_tilde * pool.s, 0.0), 1.0))
+        agree_est = full * math.sqrt(min(max(est.zeta_tilde * s, 0.0), 1.0))
         if trace:
             trace(f"rep {rep}: z={est.z} theta~={est.theta_tilde:.4f} "
                   f"machine={m_idx} count={count} queries={counter.oracle_calls}")

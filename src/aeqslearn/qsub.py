@@ -135,8 +135,7 @@ def _split(a: PreparationOperator, g: GoodSubspace):
     good = np.where(mask, psi, 0.0)
     bad = np.where(mask, 0.0, psi)
     zeta = float(np.sum(np.abs(good) ** 2))
-    theta = math.asin(math.sqrt(min(max(zeta, 0.0), 1.0)))
-    return good, bad, zeta, theta
+    return good, bad, zeta, good_angle(zeta)
 
 
 def grover_iterate(a: PreparationOperator, g: GoodSubspace) -> UnitaryOperator:
@@ -149,6 +148,47 @@ def grover_iterate(a: PreparationOperator, g: GoodSubspace) -> UnitaryOperator:
     signs = np.where(g.mask(a.dim), -1.0, 1.0)
     c_a = 2.0 * np.outer(psi, psi.conj()) - np.eye(a.dim)
     return UnitaryOperator(c_a * signs[np.newaxis, :])
+
+
+def good_angle(good_mass: float) -> float:
+    """The angle theta with sin^2(theta) = good mass, the mass clamped to [0, 1]."""
+    return math.asin(math.sqrt(min(max(good_mass, 0.0), 1.0)))
+
+
+def amplified_good_probability(theta: float, j: int) -> float:
+    """Probability of seeing a good item after j Grover iterations: sin^2((2j+1) theta)."""
+    return math.sin((2 * j + 1) * theta) ** 2
+
+
+def _plane_scales(theta: float, j: int, tol: float = 1e-12) -> tuple[float, float]:
+    """Factors by which j Grover iterations scale the good and bad components.
+
+    The iterate rotates the good/bad plane, so they are sin((2j+1) theta) /
+    sin(theta) and cos((2j+1) theta) / cos(theta); a component of zero weight
+    (sin or cos of theta at most ``tol``) gets 0.
+    """
+    rotated = (2 * j + 1) * theta
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    return (math.sin(rotated) / sin_t if sin_t > tol else 0.0,
+            math.cos(rotated) / cos_t if cos_t > tol else 0.0)
+
+
+def amplified_marginal(good: np.ndarray, bad: np.ndarray, theta: float, j: int) -> np.ndarray:
+    """Per-item probabilities after j Grover iterations.
+
+    Item i of the prepared state carries good weight ``good[i]`` and bad
+    weight ``bad[i]``; sin^2(theta) is the total good weight.
+    """
+    good_scale, bad_scale = _plane_scales(theta, j)
+    return good_scale ** 2 * good + bad_scale ** 2 * bad
+
+
+def sample_amplified(good: np.ndarray, bad: np.ndarray, theta: float, j: int,
+                     rng: np.random.Generator) -> int:
+    """Draw an item from ``amplified_marginal`` with one uniform, as ``sample_basis`` does."""
+    cdf = np.cumsum(amplified_marginal(good, bad, theta, j))
+    u = rng.random() * cdf[-1]
+    return int(min(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1))
 
 
 def check_resolution(k: int) -> None:
@@ -179,6 +219,12 @@ def estimation_distribution(a: PreparationOperator, g: GoodSubspace, k: int) -> 
     check_resolution(k)
     _, _, _, theta = _split(a, g)
     return _phase_distribution(theta, k)
+
+
+def estimation_cdf(theta: float, k: int) -> np.ndarray:
+    """Cumulative estimation distribution over z in [0, k) for the angle theta."""
+    check_resolution(k)
+    return np.cumsum(phase_distribution(theta, k))
 
 
 def estimation_outcomes(cdf: np.ndarray, uniforms: np.ndarray
@@ -237,15 +283,8 @@ def amplitude_amplify(a: PreparationOperator, g: GoodSubspace, theta_tilde: floa
     reps = math.floor(math.pi / (4.0 * theta_tilde))
     if counter is not None:
         counter.charge(reps)
-    rotated = (2 * reps + 1) * theta
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    amps = np.zeros(a.dim, dtype=complex)
-    if cos_t > tol:
-        amps += (math.cos(rotated) / cos_t) * bad
-    if sin_t > tol:
-        amps += (math.sin(rotated) / sin_t) * good
-    return StateVector(amps)
+    good_scale, bad_scale = _plane_scales(theta, reps, tol)
+    return StateVector(bad_scale * bad + good_scale * good)
 
 
 def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
@@ -254,8 +293,7 @@ def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
     Under the uniform preparation the good-amplitude angle is
     asin(sqrt(count / 2^n)), so no state needs to be built.
     """
-    check_resolution(k)
-    return np.cumsum(phase_distribution(math.asin(math.sqrt(count / (1 << n))), k))
+    return estimation_cdf(good_angle(count / (1 << n)), k)
 
 
 def quantum_count(marked: GoodSubspace, n: int, k: int, rng: np.random.Generator,
@@ -297,22 +335,27 @@ def find_maximum(values, rng: np.random.Generator,
     m = 1.0
     rounds = 0
     max_rounds = 1000 + 40 * budget  # safety net; never binding in practice
+    # the good and bad sets depend only on the threshold vals[best], which
+    # changes only when a good item is drawn; None marks them stale
+    good_idx = None
     while used < budget and rounds < max_rounds:
         rounds += 1
         j = int(rng.integers(0, max(1, math.ceil(m))))
-        good_mask = vals > vals[best]
-        n_good = int(good_mask.sum())
-        theta = math.asin(math.sqrt(n_good / n_items))
-        p_good = math.sin((2 * j + 1) * theta) ** 2
+        if good_idx is None:
+            good_mask = vals > vals[best]
+            good_idx, bad_idx = np.flatnonzero(good_mask), np.flatnonzero(~good_mask)
+            theta = good_angle(good_idx.shape[0] / n_items)
         used += j
         if counter is not None:
             counter.charge(j + 1)
-        pick_good = n_good > 0 and rng.random() < p_good
-        pool = np.flatnonzero(good_mask if pick_good else ~good_mask)
+        pick_good = (good_idx.shape[0] > 0
+                     and rng.random() < amplified_good_probability(theta, j))
+        pool = good_idx if pick_good else bad_idx
         outcome = int(pool[rng.integers(pool.shape[0])])
-        if vals[outcome] > vals[best]:
+        if pick_good:  # every good item beats the threshold
             best = outcome
             m = 1.0
+            good_idx = None
         else:
             m = min(m * 1.2, schedule_cap)
     return best

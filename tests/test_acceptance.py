@@ -10,12 +10,13 @@ import time
 import numpy as np
 import pytest
 from conftest import QUARTER_TURN, gate_design, make_encoding, run_cli
+from dense_reference import build_joint_state, finalize_preparation
 
 from aeqslearn import (AgreementParams, MachinePool, PoolConfig, RelationTable,
-                       agreement_count, brute_force_optimum, build_joint_state,
-                       enumerate_pool, finalize_preparation, first_algorithm,
-                       parse_relation, sample_encoding, second_algorithm,
-                       serialize, verify_condition_star)
+                       agreement_count, brute_force_optimum, enumerate_pool,
+                       first_algorithm, parse_relation, prepared_weights,
+                       sample_encoding, second_algorithm, serialize,
+                       verify_condition_star)
 from aeqslearn.suites import (counting_suite, estimation_suite, lemma1_suite,
                               lemma2_suite, maxfind_suite)
 
@@ -49,6 +50,7 @@ def test_criterion_2_closeness_criterion():
 def test_criterion_3_good_amplitude_law():
     rng = np.random.default_rng(303)
     worst = 0.0
+    reduced = 0.0
     perfect_defect = 0.0
     perfect_seen = 0
     pools = []
@@ -65,6 +67,8 @@ def test_criterion_3_good_amplitude_law():
         for n in (1, 2, 3):
             rel = RelationTable(n, rng.integers(2, size=1 << n).astype(bool))
             _, amps = finalize_preparation(build_joint_state(pool, rel, ETA))
+            good, _ = prepared_weights(pool.agreement_table(rel, ETA).sum(axis=1), n)
+            reduced = max(reduced, float(np.max(np.abs(good - np.abs(amps) ** 2))))
             for m_idx, mach in enumerate(pool.machines):
                 f = agreement_count(mach, rel, ETA) / (1 << n)
                 worst = max(worst, abs(amps[m_idx] - (-f / math.sqrt(pool.s))))
@@ -72,10 +76,12 @@ def test_criterion_3_good_amplitude_law():
                     perfect_seen += 1
                     perfect_defect = max(perfect_defect,
                                          abs(abs(amps[m_idx]) ** 2 - 1 / pool.s))
-    passed = worst <= 1e-9 and perfect_defect <= 1e-9 and perfect_seen > 0
+    passed = (worst <= 1e-9 and reduced <= 1e-9 and perfect_defect <= 1e-9
+              and perfect_seen > 0)
     announce(3, "good-amplitude law", passed,
-             f"max |amp + f/sqrt(s)| = {worst:.2e}; {perfect_seen} perfect machines "
-             f"contribute 1/s within {perfect_defect:.2e}")
+             f"max |amp + f/sqrt(s)| = {worst:.2e}; max |f^2/s - |amp|^2| over "
+             f"the first algorithm's good weights = {reduced:.2e}; {perfect_seen} "
+             f"perfect machines contribute 1/s within {perfect_defect:.2e}")
 
 
 def test_criterion_4_amplitude_estimation():

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from conftest import QUARTER_TURN, gate_design, make_encoding
 
+from dense_reference import (JointLearningState, amplified_machine_marginal,
+                             build_joint_state, finalize_preparation)
+
 from aeqslearn import (AgreementParams, GateParams, MachinePool, PoolConfig,
                        QueryCounter, RelationTable, StateVector,
-                       agreement_count, brute_force_optimum, build_joint_state,
-                       enumerate_pool, finalize_preparation, first_algorithm,
-                       pool_size, sample_encoding, second_algorithm, serialize,
+                       agreement_count, amplified_marginal, brute_force_optimum,
+                       enumerate_pool, first_algorithm, good_angle,
+                       parse_relation, pool_size, prepared_weights,
+                       sample_encoding, second_algorithm, serialize,
                        verify_condition_star)
 from aeqslearn.errors import PoolTooLarge
-from aeqslearn.learner import JointLearningState, seeded_streams
+from aeqslearn.learner import seeded_streams
 
 ETA = AgreementParams(0.9)
 
@@ -115,19 +119,31 @@ class TestJointState:
             JointLearningState(bad, 0)
 
 
+def random_pool(rng, size=12):
+    encs = {serialize(e): e for e in
+            (sample_encoding(rng, m=int(rng.integers(1, 3)), d=4,
+                             l_tuples=1, l_designs=1) for _ in range(size))}
+    return MachinePool(tuple(encs.values()))
+
+
+def pool_counts(pool, rel):
+    return pool.agreement_table(rel, ETA).sum(axis=1)
+
+
 class TestFinalize:
     def test_good_amplitude_law(self):
         rng = np.random.default_rng(60)
         for n in (1, 2, 3):
-            encs = {serialize(e): e for e in
-                    (sample_encoding(rng, m=int(rng.integers(1, 3)), d=4,
-                                     l_tuples=1, l_designs=1) for _ in range(12))}
-            pool = MachinePool(tuple(encs.values()))
+            pool = random_pool(rng)
             rel = RelationTable(n, rng.integers(2, size=1 << n).astype(bool))
-            _, amps = finalize_preparation(build_joint_state(pool, rel, ETA))
+            prepared, amps = finalize_preparation(build_joint_state(pool, rel, ETA))
             fractions = np.array([
                 agreement_count(mach, rel, ETA) / (1 << n) for mach in pool.machines])
             assert np.max(np.abs(amps + fractions / math.sqrt(pool.s))) <= 1e-9
+            good, bad = prepared_weights(pool_counts(pool, rel), n)
+            per_machine = prepared.probabilities().reshape(pool.s, -1).sum(axis=1)
+            assert np.max(np.abs(good - np.abs(amps) ** 2)) <= 1e-12
+            assert np.max(np.abs(good + bad - per_machine)) <= 1e-12
 
     def test_perfect_machine_contributes_one_over_s(self):
         pool = identity_pool()
@@ -146,6 +162,47 @@ class TestFinalize:
 
 
 class TestFirstAlgorithm:
+    def test_closed_form_marginal_matches_dense_state(self):
+        rng = np.random.default_rng(62)
+        checked = 0
+        for _ in range(8):
+            pool = random_pool(rng, size=int(rng.integers(1, 13)))
+            for n in (1, 2, 3):
+                rel = RelationTable(n, rng.integers(2, size=1 << n).astype(bool))
+                good, bad = prepared_weights(pool_counts(pool, rel), n)
+                theta = good_angle(float(good.sum()))
+                if theta < 1e-12:
+                    continue  # nothing to amplify; first_algorithm samples uniformly
+                for theta_tilde in (0.03, 0.2, 0.5, 1.1, math.pi / 2):
+                    iterations = math.floor(math.pi / (4.0 * theta_tilde))
+                    dense = amplified_machine_marginal(pool, rel, ETA, theta_tilde)
+                    closed = amplified_marginal(good, bad, theta, iterations)
+                    assert np.max(np.abs(closed - dense)) <= 1e-12
+                    checked += 1
+        assert checked > 50
+
+    def test_query_ledger(self):
+        # s 2^n agreement bits once, then per round k - 1 for estimation,
+        # floor(pi / (4 theta~)) for amplification and 2^n to verify
+        for pool, name, n, k, reps in ((identity_pool(), "eq", 2, 64, 3),
+                                       (parity_pool(), "parity-even", 3, 256, 5),
+                                       (identity_pool(), "none", 2, 128, 4),
+                                       (identity_pool(), "all", 1, 1024, 2)):
+            rel = parse_relation(name, n)
+            for seed in range(5):
+                zs = []
+                report = first_algorithm(
+                    pool, rel, ETA, k=k, seed=seed, reps=reps,
+                    trace=lambda msg: zs.extend(
+                        int(w[2:]) for w in msg.split() if w.startswith("z=")))
+                assert len(zs) == report.repetitions
+                expected = pool.s << n
+                for z in zs:
+                    folded = min(math.pi * z / k, math.pi - math.pi * z / k)
+                    amplify = math.floor(math.pi / (4.0 * folded)) if folded > 1e-12 else 0
+                    expected += (k - 1) + amplify + (1 << n)
+                assert report.oracle_queries == expected
+
     def test_finds_perfect_machine_for_full_relation(self):
         pool = identity_pool()
         rel = RelationTable.from_predicate(2, lambda x: True)

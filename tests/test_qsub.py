@@ -5,10 +5,12 @@ import pytest
 from conftest import random_state, random_unitary
 
 from aeqslearn import (GoodSubspace, PreparationOperator, QueryCounter,
-                       StateVector, UnitaryOperator, amplitude_amplify,
+                       StateVector, UnitaryOperator, amplified_good_probability,
+                       amplified_marginal, amplitude_amplify,
                        amplitude_estimation, counting_cdf, estimation_distribution,
-                       estimation_outcomes, find_maximum, grover_iterate, qft,
-                       quantum_count, sample_estimation)
+                       estimation_outcomes, find_maximum, good_angle,
+                       grover_iterate, prepared_weights, qft, quantum_count,
+                       sample_amplified, sample_estimation)
 from aeqslearn.errors import BadResolution, DimMismatch, ZeroAngle
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
@@ -273,7 +275,111 @@ class TestQuantumCount:
         assert hits >= 40
 
 
+def find_maximum_reference(values, rng, counter=None, c=15.0):
+    """The threshold search recomputing its good set over all N items each round."""
+    vals = np.asarray(values)
+    n_items = int(vals.shape[0])
+    best = int(rng.integers(n_items))
+    if n_items == 1:
+        return best
+    if counter is not None:
+        counter.charge(1)
+    budget = math.ceil(c * math.sqrt(n_items))
+    schedule_cap = math.sqrt(n_items)
+    used = 0
+    m = 1.0
+    rounds = 0
+    max_rounds = 1000 + 40 * budget
+    while used < budget and rounds < max_rounds:
+        rounds += 1
+        j = int(rng.integers(0, max(1, math.ceil(m))))
+        good_mask = vals > vals[best]
+        n_good = int(good_mask.sum())
+        theta = math.asin(math.sqrt(n_good / n_items))
+        p_good = math.sin((2 * j + 1) * theta) ** 2
+        used += j
+        if counter is not None:
+            counter.charge(j + 1)
+        pick_good = n_good > 0 and rng.random() < p_good
+        pool = np.flatnonzero(good_mask if pick_good else ~good_mask)
+        outcome = int(pool[rng.integers(pool.shape[0])])
+        if vals[outcome] > vals[best]:
+            best = outcome
+            m = 1.0
+        else:
+            m = min(m * 1.2, schedule_cap)
+    return best
+
+
+class TestTwoLevelLaw:
+    def test_angle_and_good_probability(self):
+        assert good_angle(0.0) == 0.0
+        assert good_angle(1.0) == good_angle(1.0 + 1e-15) == math.pi / 2
+        assert good_angle(-1e-17) == 0.0
+        theta = good_angle(0.25)
+        assert theta == pytest.approx(math.pi / 6, abs=1e-15)
+        assert amplified_good_probability(theta, 0) == pytest.approx(0.25, abs=1e-15)
+        assert amplified_good_probability(theta, 1) == pytest.approx(1.0, abs=1e-15)
+
+    def test_marginal_splits_by_the_good_probability(self):
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            weights = rng.random(9)
+            weights /= weights.sum()
+            good = weights * rng.random(9)
+            bad = weights - good
+            theta = good_angle(float(good.sum()))
+            for j in (0, 1, 4):
+                marginal = amplified_marginal(good, bad, theta, j)
+                good_part = amplified_marginal(good, np.zeros(9), theta, j)
+                assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
+                assert good_part.sum() == pytest.approx(
+                    amplified_good_probability(theta, j), abs=1e-12)
+
+    def test_zero_good_mass_is_uniform(self):
+        good, bad = prepared_weights(np.zeros(6, dtype=int), 3)
+        theta = good_angle(float(good.sum()))
+        assert theta == 0.0
+        for j in (0, 3):
+            assert np.allclose(amplified_marginal(good, bad, theta, j), 1 / 6,
+                               rtol=0, atol=1e-15)
+        draws = [sample_amplified(good, bad, theta, 0, np.random.default_rng(seed))
+                 for seed in range(600)]
+        assert set(draws) == set(range(6))
+
+    def test_full_good_mass_has_zero_cosine(self):
+        good, bad = prepared_weights(np.full(5, 8), 3)  # every machine agrees everywhere
+        assert not bad.any()
+        theta = good_angle(float(good.sum()))
+        assert math.cos(theta) <= 1e-12
+        for j in (0, 2):
+            marginal = amplified_marginal(good, bad, theta, j)
+            assert np.all(np.isfinite(marginal))
+            assert np.allclose(marginal, 1 / 5, rtol=0, atol=1e-12)
+
+    def test_single_item(self):
+        for count in (0, 3, 8):
+            good, bad = prepared_weights(np.array([count]), 3)
+            theta = good_angle(float(good[0]))
+            for j in (0, 1, 5):
+                assert amplified_marginal(good, bad, theta, j).sum() == pytest.approx(
+                    1.0, abs=1e-12)
+                assert sample_amplified(good, bad, theta, j, np.random.default_rng(j)) == 0
+
+
 class TestFindMaximum:
+    def test_memoized_split_matches_reference_loop(self):
+        for n_items in (512, 4096):
+            for seed in range(200):
+                values = np.random.default_rng([n_items, seed]).integers(
+                    0, 9 if seed % 2 else 65, size=n_items)
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                counter, ref_counter = QueryCounter(), QueryCounter()
+                assert (find_maximum(values, rng, counter)
+                        == find_maximum_reference(values, ref_rng, ref_counter))
+                assert counter.oracle_calls == ref_counter.oracle_calls
+                assert rng.random() == ref_rng.random()  # same draws consumed
+
     def test_constant_array(self):
         vals = np.full(32, 7)
         idx = find_maximum(vals, np.random.default_rng(0))
