@@ -126,7 +126,7 @@ def execute(cfg: RunConfig, trace: Trace = None) -> RunRecord:
                              true_agreement=count,
                              oracle_queries=pool.s * (1 << cfg.n),
                              repetitions=1, seed=cfg.seed, success=True)
-    _, brute_count = brute_force_optimum(pool, rel, params)
+    brute_count = int(pool.agreement_counts(rel, params).max())
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunRecord(config=cfg, pool_size=pool.s,
                      chosen_encoding=canonical_text(report.chosen),

@@ -73,6 +73,21 @@ def _check_wires(t: DesignTuple, n: int) -> None:
             raise WireOutOfRange(f"wire {wire} outside [1, {n}]")
 
 
+def check_accepting_set(s_acc: tuple[int, ...], m: int) -> None:
+    """An accepting set of an m-qubit machine is sorted, duplicate-free and in range."""
+    if list(s_acc) != sorted(set(s_acc)):
+        raise ValueError("s_acc must be sorted and duplicate-free")
+    states = 1 << m
+    if s_acc and (s_acc[0] < 0 or s_acc[-1] >= states):
+        raise ValueError(f"s_acc {s_acc} outside [0, {states})")
+
+
+def check_symbol_design(sd: SymbolDesign, m: int) -> None:
+    """Every wire a symbol design names lies in [1, m]."""
+    for t in sd.designs:
+        _check_wires(t, m)
+
+
 @dataclass(frozen=True)
 class MachineEncoding:
     """Machine over 2^m states: accepting set plus per-symbol design sequences.
@@ -90,14 +105,9 @@ class MachineEncoding:
             raise ValueError(f"qubit count must be positive, got {self.m}")
         if len(self.symbol_designs) != len(SYMBOLS):
             raise ValueError("need exactly one design sequence per symbol")
-        states = 1 << self.m
-        if list(self.s_acc) != sorted(set(self.s_acc)):
-            raise ValueError("s_acc must be sorted and duplicate-free")
-        if self.s_acc and (self.s_acc[0] < 0 or self.s_acc[-1] >= states):
-            raise ValueError(f"s_acc {self.s_acc} outside [0, {states})")
+        check_accepting_set(self.s_acc, self.m)
         for sd in self.symbol_designs:
-            for t in sd.designs:
-                _check_wires(t, self.m)
+            check_symbol_design(sd, self.m)
 
     @classmethod
     def from_map(cls, m: int, s_acc, designs: Mapping[str, SymbolDesign]) -> "MachineEncoding":
@@ -203,7 +213,9 @@ def is_admissible(enc: MachineEncoding, l_tuples: int, l_designs: int) -> bool:
 #
 # One line per design, symbols grouped in L, 0, 1, R order.  All numbers are
 # integers (grid indices, never float radians) so encodings round-trip and
-# hash exactly.
+# hash exactly.  No line contains a newline, and every character of a line
+# sorts above it, so two texts with the same number of lines per symbol
+# compare as their tuples of lines do.
 
 _DESIGN_RE = re.compile(
     r"^([L01R]): \[((?:\(\d+,\d+,\d+,\d+,\d+\))(?:,\(\d+,\d+,\d+,\d+,\d+\))*)?\]"
@@ -221,11 +233,20 @@ def _design_line(symbol: str, t: DesignTuple) -> str:
     return f"{symbol}: [{body}] cnot=({t.cnot[0]},{t.cnot[1]}) D={d}"
 
 
+def sacc_line(s_acc: tuple[int, ...]) -> str:
+    """The canonical text line of an accepting set."""
+    return "sacc=" + ",".join(str(i) for i in s_acc)
+
+
+def design_lines(symbol: str, sd: SymbolDesign) -> tuple[str, ...]:
+    """The canonical text lines of one symbol's design sequence."""
+    return tuple(_design_line(symbol, t) for t in sd.designs)
+
+
 def canonical_text(enc: MachineEncoding) -> str:
-    lines = [f"m={enc.m}", "sacc=" + ",".join(str(i) for i in enc.s_acc)]
+    lines = [f"m={enc.m}", sacc_line(enc.s_acc)]
     for symbol, sd in zip(SYMBOLS, enc.symbol_designs):
-        for t in sd.designs:
-            lines.append(_design_line(symbol, t))
+        lines.extend(design_lines(symbol, sd))
     return "\n".join(lines) + "\n"
 
 

@@ -14,14 +14,16 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import PoolTooLarge
 from .gates import (SYMBOLS, DesignTuple, GateParams, MachineEncoding,
-                    SymbolDesign, serialize)
-from .qqaf import AgreementParams, Machine, RelationTable, agreement_table
+                    SymbolDesign, check_accepting_set, check_symbol_design,
+                    design_lines, sacc_line, serialize)
+from .qqaf import (AgreementParams, Machine, RelationTable, UnitaryCache,
+                   factored_agreement_table, shared_unitary)
 from .qsub import (QueryCounter, counting_cdf, estimation_cdf,
                    estimation_outcomes, find_maximum, good_angle,
                    sample_amplified, sample_estimation)
@@ -30,7 +32,8 @@ Trace = Optional[Callable[[str], None]]
 
 DEFAULT_HARD_CAP = 4096
 
-# Agreement tables a pool keeps; beyond this many the least recently used is dropped.
+# Agreement tables (and count vectors) a pool keeps; beyond this many the least
+# recently used is dropped.
 TABLE_MEMO_SIZE = 16
 
 
@@ -67,33 +70,75 @@ def pool_size(cfg: PoolConfig) -> int:
     return (per_design**cfg.l_designs) ** len(SYMBOLS) * len(cfg.s_acc_choices)
 
 
-@dataclass(frozen=True)
+DesignSet = tuple[int, tuple[SymbolDesign, ...]]  # qubit count, one design per symbol
+
+
 class MachinePool:
-    """Deduplicated encodings in lexicographic canonical-serialization order."""
+    """Deduplicated encodings in lexicographic canonical-serialization order.
 
-    encodings: tuple[MachineEncoding, ...]
+    The pool is held as its factors: the distinct accepting sets, the
+    distinct design sets (qubit count and symbol designs), and per row the
+    indices of its accepting set and design set.  ``encodings`` and
+    ``machines`` are views built on first use; the trainers read the
+    agreement table and counts, which are built from the factors, and
+    build only the encoding they return.
+    """
 
-    def __post_init__(self):
-        if not self.encodings:
+    def __init__(self, encodings: Iterable[MachineEncoding]):
+        ordered = tuple(sorted(encodings, key=serialize))
+        if not ordered:
             raise ValueError("pool must not be empty")
-        keyed = sorted((serialize(e), e) for e in self.encodings)
-        for (k1, _), (k2, _) in zip(keyed, keyed[1:]):
-            if k1 == k2:
-                raise ValueError("pool contains duplicate encodings")
-        object.__setattr__(self, "encodings", tuple(e for _, e in keyed))
+        if len(set(ordered)) != len(ordered):
+            raise ValueError("pool contains duplicate encodings")
+        accepting: dict[tuple[int, ...], int] = {}
+        designs: dict[DesignSet, int] = {}
+        rows = [(accepting.setdefault(e.s_acc, len(accepting)),
+                 designs.setdefault((e.m, e.symbol_designs), len(designs)))
+                for e in ordered]
+        self._set_factors(tuple(accepting), tuple(designs), np.array(rows, dtype=np.intp))
+        self.__dict__["encodings"] = ordered  # the view, already at hand
+
+    @classmethod
+    def product(cls, accepting_sets: Sequence[tuple[int, ...]],
+                design_sets: Sequence[DesignSet]) -> "MachinePool":
+        """The pool whose row a * len(design_sets) + g pairs accepting set a with design set g.
+
+        The caller guarantees that the factors are valid and distinct, and
+        that this row order is the canonical-serialization order.
+        """
+        pool = cls.__new__(cls)
+        acc, design = np.divmod(np.arange(len(accepting_sets) * len(design_sets),
+                                          dtype=np.intp), len(design_sets))
+        pool._set_factors(tuple(accepting_sets), tuple(design_sets),
+                          np.stack([acc, design], axis=1))
+        return pool
+
+    def _set_factors(self, accepting_sets: tuple[tuple[int, ...], ...],
+                     design_sets: tuple[DesignSet, ...], rows: np.ndarray) -> None:
+        rows.setflags(write=False)
+        self.accepting_sets = accepting_sets
+        self.design_sets = design_sets
+        self.rows = rows  # (s, 2): accepting-set index, design-set index
+        self._unitaries: UnitaryCache = {}  # each distinct symbol unitary, built once
+        self._tables: OrderedDict = OrderedDict()
+        self._counts: OrderedDict = OrderedDict()
 
     @property
     def s(self) -> int:
-        return len(self.encodings)
+        return self.rows.shape[0]
+
+    def encoding(self, i: int) -> MachineEncoding:
+        a, g = self.rows[i].tolist()
+        m, symbol_designs = self.design_sets[g]
+        return MachineEncoding(m, self.accepting_sets[a], symbol_designs)
+
+    @cached_property
+    def encodings(self) -> tuple[MachineEncoding, ...]:
+        return tuple(self.encoding(i) for i in range(self.s))
 
     @cached_property
     def machines(self) -> tuple[Machine, ...]:
-        shared: dict = {}  # each distinct symbol unitary is built once per pool
-        return tuple(Machine(e, shared) for e in self.encodings)
-
-    @cached_property
-    def _tables(self) -> OrderedDict:
-        return OrderedDict()
+        return tuple(Machine(e, self._unitaries) for e in self.encodings)
 
     def agreement_table(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
         """The read-only (s, 2^n) agreement table, memoized on (n, members, eta).
@@ -101,16 +146,32 @@ class MachinePool:
         Callers charge their own oracle queries; the memo only saves the
         classical simulation of repeated table builds.
         """
-        key = (rel.n, rel.members.tobytes(), params.eta)
-        table = self._tables.get(key)
-        if table is None:
-            table = agreement_table(self.machines, rel, params)
-            self._tables[key] = table
-            if len(self._tables) > TABLE_MEMO_SIZE:
-                self._tables.popitem(last=False)
-        else:
-            self._tables.move_to_end(key)
-        return table
+        return _memoized(self._tables, (rel.n, rel.members.tobytes(), params.eta),
+                         lambda: factored_agreement_table(
+                             [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
+                              for m, sds in self.design_sets],
+                             self.accepting_sets, self.rows, rel, params))
+
+    def agreement_counts(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
+        """Read-only row sums of ``agreement_table``: each machine's agreement count."""
+        def count() -> np.ndarray:
+            counts = self.agreement_table(rel, params).sum(axis=1)
+            counts.setflags(write=False)
+            return counts
+
+        return _memoized(self._counts, (rel.n, rel.members.tobytes(), params.eta), count)
+
+
+def _memoized(memo: OrderedDict, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """``memo[key]``, built on a miss; beyond TABLE_MEMO_SIZE entries the least recent goes."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+        if len(memo) > TABLE_MEMO_SIZE:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return value
 
 
 def _all_design_tuples(cfg: PoolConfig) -> list[DesignTuple]:
@@ -128,23 +189,31 @@ def _all_design_tuples(cfg: PoolConfig) -> list[DesignTuple]:
 
 
 def enumerate_pool(cfg: PoolConfig) -> MachinePool:
-    """Deterministically enumerate every admissible encoding for the config."""
+    """Deterministically enumerate every admissible encoding for the config.
+
+    The pool is the product of the accepting-set choices and the design
+    sets, each factor sorted once by its own canonical text.  Row order is
+    then the order of the serialized encodings: all texts share the m line
+    and hold ``l_designs`` lines per symbol, so they compare as their
+    (sacc line, L lines, 0 lines, 1 lines, R lines) tuples (see ``gates``).
+    """
     size = pool_size(cfg)
     if size > cfg.hard_cap:
         raise PoolTooLarge(f"pool would hold {size} encodings, cap is {cfg.hard_cap}")
+    # duplicates can only come from accepting-set choices that coincide once normalized
+    accepting = sorted({tuple(sorted(set(int(i) for i in s_acc)))
+                        for s_acc in cfg.s_acc_choices}, key=sacc_line)
+    for s_acc in accepting:
+        check_accepting_set(s_acc, cfg.m)
     tuples = _all_design_tuples(cfg)
-    symbol_designs = [
-        SymbolDesign(combo)
-        for combo in itertools.product(tuples, repeat=cfg.l_designs)
-    ]
-    # distinct designs make distinct encodings, so duplicates can only come from
-    # accepting-set choices that coincide once normalized
-    accs = dict.fromkeys(tuple(sorted(set(int(i) for i in s_acc)))
-                         for s_acc in cfg.s_acc_choices)
-    return MachinePool(tuple(
-        MachineEncoding(cfg.m, acc, combo)
-        for acc in accs
-        for combo in itertools.product(symbol_designs, repeat=len(SYMBOLS))))
+    symbol_designs = sorted((SymbolDesign(combo)
+                             for combo in itertools.product(tuples, repeat=cfg.l_designs)),
+                            key=lambda sd: design_lines("", sd))
+    for sd in symbol_designs:
+        check_symbol_design(sd, cfg.m)
+    design_sets = [(cfg.m, combo)
+                   for combo in itertools.product(symbol_designs, repeat=len(SYMBOLS))]
+    return MachinePool.product(accepting, design_sets)
 
 
 @dataclass(frozen=True)
@@ -189,7 +258,7 @@ def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPara
     counter = QueryCounter()
     s, n = pool.s, rel.n
     full = 1 << n
-    counts = pool.agreement_table(rel, params).sum(axis=1)
+    counts = pool.agreement_counts(rel, params)
     counter.charge(s << n)
     good, bad = prepared_weights(counts, n)
     good_mass = float(good.sum())
@@ -222,7 +291,7 @@ def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPara
 
     assert best is not None
     count, m_idx, agree_est = best
-    return LearnReport(chosen=pool.encodings[m_idx], estimated_agreement=agree_est,
+    return LearnReport(chosen=pool.encoding(m_idx), estimated_agreement=agree_est,
                        true_agreement=count, oracle_queries=counter.oracle_calls,
                        repetitions=done, seed=seed, success=count == full)
 
@@ -256,7 +325,7 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
     rng, counting = seeded_streams(seed)
     counter = QueryCounter()
     s, n = pool.s, rel.n
-    counts = pool.agreement_table(rel, params).sum(axis=1)
+    counts = pool.agreement_counts(rel, params)
     counter.charge(s << n)
     brute_count = int(counts.max())
     # counting depends on a machine only through its count, so each distinct
@@ -290,7 +359,7 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
 
     assert best is not None
     count, winner, estimate = best
-    return LearnReport(chosen=pool.encodings[winner], estimated_agreement=estimate,
+    return LearnReport(chosen=pool.encoding(winner), estimated_agreement=estimate,
                        true_agreement=count, oracle_queries=counter.oracle_calls,
                        repetitions=reps, seed=seed, success=count == brute_count)
 
@@ -298,16 +367,15 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
 def brute_force_optimum(pool: MachinePool, rel: RelationTable,
                         params: AgreementParams) -> tuple[MachineEncoding, int]:
     """Exact linear scan for the best-agreeing machine; pool order breaks ties."""
-    counts = pool.agreement_table(rel, params).sum(axis=1)
+    counts = pool.agreement_counts(rel, params)
     idx = int(np.argmax(counts))
-    return pool.encodings[idx], int(counts[idx])
+    return pool.encoding(idx), int(counts[idx])
 
 
 def verify_condition_star(pool: MachinePool, rel: RelationTable,
                           params: AgreementParams) -> bool:
     """Does some pool machine agree with the relation on every input?"""
-    _, count = brute_force_optimum(pool, rel, params)
-    return count == 1 << rel.n
+    return int(pool.agreement_counts(rel, params).max()) == 1 << rel.n
 
 
 def sample_encoding(rng: np.random.Generator, m: int, d: int = 8,

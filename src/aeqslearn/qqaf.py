@@ -5,9 +5,11 @@ unitary per symbol to the start state |0>.  Acceptance probability is the
 mass on the accepting set; agreement with a relation at threshold eta is
 evaluated exactly from amplitudes, never by sampling.
 
-``agreement_table`` computes every machine's agreement on every input in
-one batched walk of the input trie; ``agrees`` and ``agreement_vector`` are
-the per-input reference it is tested against.
+``factored_agreement_table`` computes every machine's agreement on every
+input in one batched walk of the input trie, over machines given as
+(accepting set, design set) factors; ``agreement_table`` is its front end
+for a list of machines.  ``agrees`` and ``agreement_vector`` are the
+per-input reference both are tested against.
 """
 from __future__ import annotations
 
@@ -113,26 +115,31 @@ class RelationTable:
         return f"RelationTable(n={self.n}, size={self.size})"
 
 
+UnitaryCache = dict[tuple[SymbolDesign, int], np.ndarray]
+
+
+def shared_unitary(cache: UnitaryCache, sd: SymbolDesign, m: int) -> np.ndarray:
+    """Read-only entries of ``symbol_unitary(sd, m)``, built once per ``cache``."""
+    entries = cache.get((sd, m))
+    if entries is None:
+        entries = cache[sd, m] = symbol_unitary(sd, m).entries
+    return entries
+
+
 class Machine:
     """A machine encoding together with its cached symbol unitaries.
 
-    Machines built with the same ``shared`` dict, which maps (symbol design,
-    qubit count) to read-only unitary entries, build each distinct symbol
-    unitary once and share the arrays.
+    Machines built with the same ``shared`` cache (see ``shared_unitary``)
+    build each distinct symbol unitary once and share the arrays.
     """
 
     __slots__ = ("encoding", "_unitaries")
 
-    def __init__(self, encoding: MachineEncoding,
-                 shared: Optional[dict[tuple[SymbolDesign, int], np.ndarray]] = None):
+    def __init__(self, encoding: MachineEncoding, shared: Optional[UnitaryCache] = None):
         self.encoding = encoding
         cache = {} if shared is None else shared
-        self._unitaries = {}
-        for symbol, sd in zip(SYMBOLS, encoding.symbol_designs):
-            key = (sd, encoding.m)
-            if key not in cache:
-                cache[key] = symbol_unitary(sd, encoding.m).entries
-            self._unitaries[symbol] = cache[key]
+        self._unitaries = {symbol: shared_unitary(cache, sd, encoding.m)
+                           for symbol, sd in zip(SYMBOLS, encoding.symbol_designs)}
 
     @property
     def lambda0(self) -> HermitianOperator:
@@ -220,60 +227,80 @@ def agreement_table(machines: Sequence[Machine], rel: RelationTable,
                     params: AgreementParams) -> np.ndarray:
     """Read-only (s, 2^n) table: entry (i, x) is ``agrees(machines[i], x, rel, params)``.
 
-    Machines with the same qubit count and symbol designs share one run per
-    input, so each distinct design set's unitaries are stacked once and the
+    Groups the machines by design set (qubit count and symbol designs) and
+    by accepting set, and hands the factors to ``factored_agreement_table``.
+    """
+    designs: dict[tuple, int] = {}
+    accepting: dict[tuple[int, ...], int] = {}
+    first: list[Machine] = []  # one machine per design set, for its unitaries
+    rows = []
+    for mach in machines:
+        key = (mach.m, mach.encoding.symbol_designs)
+        if key not in designs:
+            designs[key] = len(first)
+            first.append(mach)
+        rows.append((accepting.setdefault(mach.s_acc, len(accepting)), designs[key]))
+    return factored_agreement_table(
+        [(mach.m, [mach.unitary(sym) for sym in SYMBOLS]) for mach in first],
+        list(accepting), np.array(rows, dtype=np.intp).reshape(-1, 2), rel, params)
+
+
+def factored_agreement_table(design_sets: Sequence[tuple[int, Sequence[np.ndarray]]],
+                             accepting_sets: Sequence[tuple[int, ...]], rows: np.ndarray,
+                             rel: RelationTable, params: AgreementParams) -> np.ndarray:
+    """Read-only (s, 2^n) agreement table of machines given by their factors.
+
+    Machine r accepts on ``accepting_sets[rows[r, 0]]`` and runs the design
+    set ``design_sets[rows[r, 1]]``, a qubit count with its symbol unitaries
+    in SYMBOLS order.  Machines sharing a design set share one run per
+    input, so the design sets of each qubit count are stacked once and the
     input trie is walked breadth-first over the stack: every prefix state is
-    computed once, in blocks holding at most MAX_LIVE_AMPLITUDES amplitudes.
-    Only the accepting sets, applied last, differ within a design set.
+    computed once, in blocks holding at most about MAX_LIVE_AMPLITUDES
+    amplitudes or acceptance probabilities.  An (accepting sets, 2^m) 0/1
+    mask then turns each run's final probabilities into the acceptance
+    probability of every accepting set at once.
     """
     n = rel.n
-    by_qubits: dict[int, dict[tuple, list[int]]] = {}
-    for row, mach in enumerate(machines):
-        design_sets = by_qubits.setdefault(mach.m, {})
-        design_sets.setdefault(mach.encoding.symbol_designs, []).append(row)
-    table = np.empty((len(machines), 1 << n), dtype=bool)
-    for m, design_sets in by_qubits.items():
+    table = np.empty((rows.shape[0], 1 << n), dtype=bool)
+    qubits = np.array([m for m, _ in design_sets], dtype=np.intp)
+    for m in sorted(set(qubits.tolist())):
+        sets = np.flatnonzero(qubits == m)
+        local = np.full(len(design_sets), -1, dtype=np.intp)
+        local[sets] = np.arange(sets.size)
+        members = np.flatnonzero(local[rows[:, 1]] >= 0)
+        used, acc_of = np.unique(rows[members, 0], return_inverse=True)
         dim = 1 << m
+        mask = np.zeros((used.size, dim))
+        for j, a in enumerate(used.tolist()):
+            mask[j, list(accepting_sets[a])] = 1.0
+        # transposed unitaries, so that states @ right[sym] applies them to row vectors
+        right = {sym: np.stack([design_sets[g][1][i].T for g in sets.tolist()])
+                 for i, sym in enumerate(SYMBOLS)}
         depth = min(n, max(0, (MAX_LIVE_AMPLITUDES // dim).bit_length() - 1))
-        max_rows = max(1, MAX_LIVE_AMPLITUDES // (dim << depth))
-        for block in _blocks(list(design_sets.values()), max_rows):
-            _fill_block(table, machines, block, rel, params, depth)
+        per_block = max(1, MAX_LIVE_AMPLITUDES // (max(dim, used.size) << depth))
+        set_of = local[rows[members, 1]]
+        for lo in range(0, sets.size, per_block):
+            inside = (set_of >= lo) & (set_of < lo + per_block)
+            block = {sym: stack[lo:lo + per_block] for sym, stack in right.items()}
+            _fill_block(table, block, mask, members[inside], set_of[inside] - lo,
+                        acc_of[inside], rel, params, depth)
     table.setflags(write=False)
     return table
 
 
-def _blocks(design_sets: list[list[int]], max_rows: int):
-    """Consecutive runs of design sets holding at most ``max_rows`` machines (or one set)."""
-    block: list[list[int]] = []
-    rows = 0
-    for machine_rows in design_sets:
-        if block and rows + len(machine_rows) > max_rows:
-            yield block
-            block, rows = [], 0
-        block.append(machine_rows)
-        rows += len(machine_rows)
-    if block:
-        yield block
-
-
-def _fill_block(table: np.ndarray, machines: Sequence[Machine], block: list[list[int]],
+def _fill_block(table: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarray,
+                rows: np.ndarray, set_of: np.ndarray, acc_of: np.ndarray,
                 rel: RelationTable, params: AgreementParams, depth: int) -> None:
     """Verdicts for the machines of one block of design sets, 2^depth inputs at a time.
 
-    Each chunk of inputs shares its first n - depth bits; the states after
-    that common prefix are computed once per design set and then expanded
-    breadth-first over the last ``depth`` bits.
+    Table row ``rows[i]`` runs the stacked design set ``set_of[i]`` and
+    accepts on mask row ``acc_of[i]``.  Each chunk of inputs shares its
+    first n - depth bits; the states after that common prefix are computed
+    once per design set and then expanded breadth-first over the last
+    ``depth`` bits.
     """
     n = rel.n
-    # transposed unitaries, so that states @ right[sym] applies them to row vectors
-    right = {sym: np.stack([machines[rows[0]].unitary(sym).T for rows in block])
-             for sym in SYMBOLS}
-    rows = np.array([r for machine_rows in block for r in machine_rows])
-    design_of = np.repeat(np.arange(len(block)), [len(r) for r in block])
-    dim = right["L"].shape[1]
-    accepting = np.zeros((rows.size, dim))
-    for i, r in enumerate(rows):
-        accepting[i, list(machines[r].s_acc)] = 1.0
+    sets, dim = right["L"].shape[:2]
     width = 1 << depth
     for top in range(1 << (n - depth)):
         states = right["L"][:, None, START_STATE, :]  # U_L |0> as (sets, 1, dim)
@@ -281,12 +308,12 @@ def _fill_block(table: np.ndarray, machines: Sequence[Machine], block: list[list
             states = states @ right[bit]
         for _ in range(depth):
             states = np.stack([states @ right["0"], states @ right["1"]], axis=2)
-            states = states.reshape(len(block), -1, dim)
+            states = states.reshape(sets, -1, dim)
         probs = np.abs(states @ right["R"]) ** 2
         defect = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
         if defect > NORM_TOL:
             raise ValueError(f"run state is not unit norm: max |sum |a|^2 - 1| = {defect!r}")
-        p_acc = np.einsum("mpd,md->mp", probs[design_of], accepting)
+        p_acc = np.einsum("gpd,ad->gpa", probs, mask)[set_of, :, acc_of]
         cols = slice(top * width, (top + 1) * width)
         side = np.where(rel.members[cols], p_acc, 1.0 - p_acc)
         table[rows, cols] = meets_threshold(side, params.eta)

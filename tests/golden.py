@@ -8,8 +8,10 @@ exactly, so a change that alters any seeded record shows in the diff of
 these files; such a change regenerates them and names the changed fields.
 
 - ``cli.json``: the run record, minus ``wall_time_ms``, of the README
-  configuration at seed 0 for each algorithm and of the three criterion-9
-  configurations, computed in-process through ``cli.execute``.
+  configuration at seed 0 for each algorithm, of the three criterion-9
+  configurations, and of the s=4096 pool (all 16 accepting sets of two
+  qubits, the empty one included) for each algorithm on balanced@2 and
+  parity-even@3 at seed 0, computed in-process through ``cli.execute``.
 - ``library.jsonl``: one compact line per (relation, algorithm, seed) for
   the four criterion-7 relations, both trainers and seeds 0-39 on the s=512
   learning pool: the chosen encoding's pool index, ``repr`` of the
@@ -31,12 +33,19 @@ LIBRARY_FILE = GOLDEN / "library.jsonl"
 README = dict(relation="balanced", n=3, m=2, grid=1, ltuples=0, ldesigns=1,
               sacc=((0,), (1,)), k=1024, seed=0, reps=5)
 CRITERION_9 = dict(m=1, grid=1, ltuples=1, ldesigns=1, k=256, reps=3, seed=21)
+# every subset of the four basis states of two qubits: 16 x 256 = 4096 machines
+SACC_ALL16 = tuple(tuple(i for i in range(4) if mask >> i & 1) for mask in range(16))
+POOL_4096 = dict(m=2, grid=1, ltuples=0, ldesigns=1, sacc=SACC_ALL16, k=1024,
+                 seed=0, reps=5)
 CLI_CONFIGS = {
     **{f"readme-{alg}": RunConfig(algorithm=alg, **README)
        for alg in ("first", "second", "brute")},
     "crit9-second": RunConfig(relation="balanced", n=3, algorithm="second", **CRITERION_9),
     "crit9-first": RunConfig(relation="eq", n=2, algorithm="first", **CRITERION_9),
     "crit9-brute": RunConfig(relation="parity-even", n=2, algorithm="brute", **CRITERION_9),
+    **{f"pool4096-{name}@{n}-{alg}": RunConfig(relation=name, n=n, algorithm=alg, **POOL_4096)
+       for name, n in (("balanced", 2), ("parity-even", 3))
+       for alg in ("first", "second", "brute")},
 }
 RELATIONS = (("balanced", 3), ("eq", 2), ("parity-even", 3), ("balanced", 2))
 TRAINERS = {"first": first_algorithm, "second": second_algorithm}

@@ -2,8 +2,10 @@ import json
 
 import pytest
 from conftest import run_cli
+from golden import POOL_4096
 
-from aeqslearn import RunConfig, execute
+from aeqslearn import RunConfig, execute, gates, qqaf
+from aeqslearn import cli as cli_module
 
 SMALL = ["--m", "1", "--grid", "1", "--ltuples", "1", "--ldesigns", "1",
          "--k", "256", "--reps", "3"]
@@ -117,6 +119,13 @@ class TestRunCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("sacc", [["--sacc", "9"], ["--sacc=-1"], ["--sacc", "0,x"]])
+    def test_bad_accepting_set_is_an_input_error(self, sacc):
+        proc = run_cli("run", "--relation", "eq", "--n", "2", "--m", "2", *sacc)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_sacc_flag(self):
         proc = run_cli("run", "--relation", "all", "--n", "2",
                        "--sacc", "0", "--sacc", "0,1", *SMALL)
@@ -144,6 +153,29 @@ class TestExecute:
         payload = json.loads(record.to_json())
         payload.pop("wall_time_ms")
         assert payload == cli_record
+
+    def test_pool4096_run_builds_no_machine_and_one_text(self, monkeypatch):
+        built, texts = [], []
+        init, text = qqaf.Machine.__init__, gates.canonical_text
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_text(enc):
+            texts.append(enc)
+            return text(enc)
+
+        monkeypatch.setattr(qqaf.Machine, "__init__", counting_init)
+        monkeypatch.setattr(gates, "canonical_text", counting_text)
+        monkeypatch.setattr(cli_module, "canonical_text", counting_text)
+        for algorithm in cli_module.ALGORITHMS:
+            texts.clear()
+            record = execute(RunConfig(relation="parity-even", n=3, algorithm=algorithm,
+                                       **POOL_4096))
+            assert record.pool_size == 4096
+            assert len(texts) <= 1
+        assert not built
 
     def test_record_invariant(self):
         cfg = RunConfig(relation="eq", n=2, algorithm="brute", **SMALL_KW)

@@ -6,15 +6,17 @@ from conftest import QUARTER_TURN, gate_design, make_encoding
 
 from dense_reference import (JointLearningState, amplified_machine_marginal,
                              build_joint_state, finalize_preparation)
+from golden import SACC_ALL16
 
-from aeqslearn import (AgreementParams, GateParams, MachinePool, PoolConfig,
-                       QueryCounter, RelationTable, StateVector,
-                       agreement_count, amplified_marginal, brute_force_optimum,
-                       enumerate_pool, first_algorithm, good_angle,
-                       parse_relation, pool_size, prepared_weights,
-                       sample_encoding, second_algorithm, serialize,
-                       verify_condition_star)
+from aeqslearn import (AgreementParams, DesignTuple, GateParams, MachineEncoding,
+                       MachinePool, PoolConfig, QueryCounter, RelationTable,
+                       StateVector, SymbolDesign, agreement_count,
+                       amplified_marginal, brute_force_optimum, enumerate_pool,
+                       first_algorithm, good_angle, parse_relation, pool_size,
+                       prepared_weights, sample_encoding, second_algorithm,
+                       serialize, verify_condition_star)
 from aeqslearn.errors import PoolTooLarge
+from aeqslearn.gates import design_lines
 from aeqslearn.learner import seeded_streams
 
 ETA = AgreementParams(0.9)
@@ -86,6 +88,63 @@ class TestEnumeratePool:
         enc = make_encoding()
         with pytest.raises(ValueError):
             MachinePool((enc, enc))
+
+    @pytest.mark.parametrize("cfg", [
+        PoolConfig(m=2, d=1, l_tuples=0, l_designs=1, s_acc_choices=SACC_ALL16),
+        PoolConfig(m=2, d=1, l_tuples=1, l_designs=1),
+        PoolConfig(m=4, d=1, l_tuples=0, l_designs=0,
+                   s_acc_choices=((2,), (10,), (1, 10), (1, 2), ())),
+    ])
+    def test_enumeration_order_is_serialized_order(self, cfg):
+        # at m=4 accepting indices have two digits: (1, 10) sorts before (1, 2)
+        pool = enumerate_pool(cfg)
+        texts = [serialize(e) for e in pool.encodings]
+        assert texts == sorted(texts) and len(set(texts)) == pool_size(cfg)
+        assert [pool.encoding(i) for i in range(pool.s)] == list(pool.encodings)
+
+    def test_design_key_is_text_order_at_two_digit_grid(self):
+        # at D=11 grid indices have one or two digits, so text order is not
+        # numeric order; the product of designs sorted by their own lines must
+        # still be the order of the serialized encodings
+        rng = np.random.default_rng(11)
+
+        def design():
+            return SymbolDesign(tuple(
+                DesignTuple(tuple((int(rng.integers(1, 3)),
+                                   GateParams(*rng.integers(11, size=4).tolist(), 11))
+                                  for _ in range(int(rng.integers(3)))),
+                            tuple(rng.integers(1, 3, size=2).tolist()))
+                for _ in range(2)))
+
+        designs = sorted({design() for _ in range(14)}, key=lambda sd: design_lines("", sd))
+        assert len(designs) == 14
+        middle = design()
+        encodings = [MachineEncoding(2, (1,), (left, middle, middle, right))
+                     for left in designs for right in designs]
+        assert [serialize(e) for e in encodings] == sorted(serialize(e) for e in encodings)
+
+    def test_pool_from_encodings_equals_enumerated_pool(self):
+        pool = enumerate_pool(PoolConfig(m=2, d=1, l_tuples=0, l_designs=1,
+                                         s_acc_choices=SACC_ALL16[::4]))
+        rebuilt = MachinePool(reversed(pool.encodings))
+        assert rebuilt.encodings == pool.encodings
+        rel = parse_relation("parity-even", 3)
+        assert np.array_equal(rebuilt.agreement_table(rel, ETA),
+                              pool.agreement_table(rel, ETA))
+
+    @pytest.mark.parametrize("s_acc", [(9,), (-1,), (0, 4)])
+    def test_accepting_sets_are_checked_before_enumeration(self, s_acc):
+        cfg = PoolConfig(m=2, d=1, l_tuples=0, l_designs=1, s_acc_choices=((0,), s_acc))
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            enumerate_pool(cfg)
+
+    def test_counts_are_memoized_row_sums(self):
+        pool = parity_pool()
+        rel = parse_relation("parity-even", 3)
+        counts = pool.agreement_counts(rel, ETA)
+        assert counts is pool.agreement_counts(rel, ETA)
+        assert not counts.flags.writeable
+        assert np.array_equal(counts, pool.agreement_table(rel, ETA).sum(axis=1))
 
 
 class TestJointState:
