@@ -6,28 +6,24 @@ from .aeqs import (AdiabaticReport, AeqsInstance, Verdict, accepts,
 from .errors import AeqsError
 from .gates import (DEFAULT_GRID, SYMBOLS, DesignTuple, GateParams,
                     MachineEncoding, SymbolDesign, canonical_text, cnot_matrix,
-                    deserialize, design_unitary, is_admissible, lifted_unitary,
-                    serialize, single_qubit_unitary, symbol_unitary,
-                    walsh_hadamard)
+                    deserialize, design_unitary, lifted_unitary, serialize,
+                    single_qubit_unitary, symbol_unitary, walsh_hadamard)
 from .learner import (LearnReport, MachinePool, PoolConfig, brute_force_optimum,
                       enumerate_pool, first_algorithm, pool_size,
                       prepared_weights, sample_encoding, second_algorithm,
                       verify_condition_star)
 from .qcore import (Eigensystem, HermitianOperator, StateVector,
                     UnitaryOperator, basis_state, dis, epsilon_close,
-                    equal_up_to_global_phase, hermitian_eigensystem, phase_distance,
-                    sample_basis, spectral_gap, states_equal,
-                    subspace_probability, tensor)
+                    hermitian_eigensystem, phase_distance, sample_basis,
+                    spectral_gap, subspace_probability, tensor)
 from .qqaf import (VERDICT_TOL, AgreementParams, Machine, RelationTable,
-                   acceptance_probability, agreement_count, agreement_table,
-                   agreement_vector, agrees, all_inputs, bits_to_index,
-                   e_operator, index_to_bits, meets_threshold, run)
-from .qsub import (EstimationResult, GoodSubspace, PreparationOperator,
-                   QueryCounter, amplified_good_probability, amplified_marginal,
-                   amplitude_amplify, amplitude_estimation, counting_cdf,
-                   estimation_cdf, estimation_distribution, estimation_outcomes,
-                   find_maximum, good_angle, grover_iterate, phase_distribution,
-                   qft, quantum_count, sample_amplified, sample_estimation)
+                   acceptance_probability, agreement_count, agreement_vector,
+                   agrees, all_inputs, bits_to_index, e_operator,
+                   index_to_bits, meets_threshold, run)
+from .qsub import (EstimationResult, QueryCounter, amplified_good_probability,
+                   amplified_marginal, counting_cdf, estimation_cdf,
+                   estimation_outcomes, find_maximum, good_angle,
+                   phase_distribution, sample_amplified, sample_estimation)
 from .relations import BUILTIN_RELATIONS, parse_relation
 
 __version__ = "0.1.0"

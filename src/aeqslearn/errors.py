@@ -53,10 +53,6 @@ class BadResolution(AeqsError):
     pass
 
 
-class ZeroAngle(AeqsError):
-    pass
-
-
 class PoolTooLarge(AeqsError):
     pass
 

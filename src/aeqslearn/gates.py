@@ -194,17 +194,6 @@ def symbol_unitary(d: SymbolDesign, n: int) -> UnitaryOperator:
     return UnitaryOperator(mat)
 
 
-def is_admissible(enc: MachineEncoding, l_tuples: int, l_designs: int) -> bool:
-    """Check the configured size bounds on every design sequence."""
-    for sd in enc.symbol_designs:
-        if len(sd.designs) > l_designs:
-            return False
-        for t in sd.designs:
-            if len(t.singles) > l_tuples:
-                return False
-    return True
-
-
 # --- canonical text form ----------------------------------------------------
 #
 #   m=<int>

@@ -22,8 +22,8 @@ from .errors import PoolTooLarge
 from .gates import (SYMBOLS, DesignTuple, GateParams, MachineEncoding,
                     SymbolDesign, check_accepting_set, check_symbol_design,
                     design_lines, sacc_line, serialize)
-from .qqaf import (AgreementParams, Machine, RelationTable, UnitaryCache,
-                   factored_agreement_table, shared_unitary)
+from .qqaf import (MAX_LIVE_AMPLITUDES, AgreementParams, Machine, RelationTable,
+                   UnitaryCache, factored_agreement_table, shared_unitary)
 from .qsub import (QueryCounter, counting_cdf, estimation_cdf,
                    estimation_outcomes, find_maximum, good_angle,
                    sample_amplified, sample_estimation)
@@ -32,9 +32,8 @@ Trace = Optional[Callable[[str], None]]
 
 DEFAULT_HARD_CAP = 4096
 
-# Agreement tables (and count vectors) a pool keeps; beyond this many the least
-# recently used is dropped.
-TABLE_MEMO_SIZE = 16
+# Count vectors a pool keeps; beyond this many the least recently used is dropped.
+COUNTS_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,9 @@ class PoolConfig:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("qubit count and grid resolution must be positive")
+        if 2 * self.m >= MAX_LIVE_AMPLITUDES.bit_length():  # 4^m > MAX_LIVE_AMPLITUDES
+            raise ValueError(f"m={self.m} qubits need symbol unitaries of 4^m entries, "
+                             f"more than the {MAX_LIVE_AMPLITUDES} amplitudes a walk holds")
         if self.l_tuples < 0 or self.l_designs < 0:
             raise ValueError("size bounds must be non-negative")
         if not self.s_acc_choices:
@@ -80,8 +82,8 @@ class MachinePool:
     distinct design sets (qubit count and symbol designs), and per row the
     indices of its accepting set and design set.  ``encodings`` and
     ``machines`` are views built on first use; the trainers read the
-    agreement table and counts, which are built from the factors, and
-    build only the encoding they return.
+    agreement counts, which are built from the factors, and build only the
+    encoding they return.
     """
 
     def __init__(self, encodings: Iterable[MachineEncoding]):
@@ -120,7 +122,6 @@ class MachinePool:
         self.design_sets = design_sets
         self.rows = rows  # (s, 2): accepting-set index, design-set index
         self._unitaries: UnitaryCache = {}  # each distinct symbol unitary, built once
-        self._tables: OrderedDict = OrderedDict()
         self._counts: OrderedDict = OrderedDict()
 
     @property
@@ -141,37 +142,32 @@ class MachinePool:
         return tuple(Machine(e, self._unitaries) for e in self.encodings)
 
     def agreement_table(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
-        """The read-only (s, 2^n) agreement table, memoized on (n, members, eta).
+        """The read-only (s, 2^n) agreement table, built on every call.
 
-        Callers charge their own oracle queries; the memo only saves the
-        classical simulation of repeated table builds.
+        The pipeline reads only its row sums, through ``agreement_counts``.
         """
-        return _memoized(self._tables, (rel.n, rel.members.tobytes(), params.eta),
-                         lambda: factored_agreement_table(
-                             [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
-                              for m, sds in self.design_sets],
-                             self.accepting_sets, self.rows, rel, params))
+        return factored_agreement_table(
+            [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
+             for m, sds in self.design_sets],
+            self.accepting_sets, self.rows, rel, params)
 
     def agreement_counts(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
-        """Read-only row sums of ``agreement_table``: each machine's agreement count."""
-        def count() -> np.ndarray:
-            counts = self.agreement_table(rel, params).sum(axis=1)
+        """Read-only row sums of ``agreement_table``: each machine's agreement count.
+
+        Memoized on (n, members, eta), keeping the COUNTS_MEMO_SIZE most
+        recently used.  Callers charge their own oracle queries; the memo only
+        saves the classical simulation of repeated builds.
+        """
+        key = (rel.n, rel.members.tobytes(), params.eta)
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = self.agreement_table(rel, params).sum(axis=1)
             counts.setflags(write=False)
-            return counts
-
-        return _memoized(self._counts, (rel.n, rel.members.tobytes(), params.eta), count)
-
-
-def _memoized(memo: OrderedDict, key, build: Callable[[], np.ndarray]) -> np.ndarray:
-    """``memo[key]``, built on a miss; beyond TABLE_MEMO_SIZE entries the least recent goes."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = build()
-        if len(memo) > TABLE_MEMO_SIZE:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
-    return value
+            if len(self._counts) > COUNTS_MEMO_SIZE:
+                self._counts.popitem(last=False)
+        else:
+            self._counts.move_to_end(key)
+        return counts
 
 
 def _all_design_tuples(cfg: PoolConfig) -> list[DesignTuple]:

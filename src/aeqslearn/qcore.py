@@ -134,10 +134,6 @@ class Eigensystem:
     def ground_state(self) -> StateVector:
         return self.eigenvectors[0]
 
-    def reconstruct(self) -> np.ndarray:
-        v = np.column_stack([s.amplitudes for s in self.eigenvectors])
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def tensor(a, b):
     """Kronecker product of two states or two operators of the same kind.
@@ -208,12 +204,6 @@ def epsilon_close(a: StateVector, b: StateVector, eps: float) -> bool:
     return float(np.linalg.norm(a.amplitudes - b.amplitudes)) <= eps
 
 
-def states_equal(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
-    if a.dim != b.dim:
-        return False
-    return float(np.linalg.norm(a.amplitudes - b.amplitudes)) <= tol
-
-
 def phase_distance(a: StateVector, b: StateVector) -> float:
     """min over phases phi of ||a - e^{i phi} b||, the phase-blind distance.
 
@@ -226,10 +216,3 @@ def phase_distance(a: StateVector, b: StateVector) -> float:
     inner = np.vdot(a.amplitudes, b.amplitudes)
     phase = np.conj(inner) / abs(inner) if abs(inner) > 0 else 1.0
     return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
-    """Equality after minimizing ||a - e^{i phi} b|| over the global phase."""
-    if a.dim != b.dim:
-        return False
-    return phase_distance(a, b) <= tol

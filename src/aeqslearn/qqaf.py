@@ -7,9 +7,9 @@ evaluated exactly from amplitudes, never by sampling.
 
 ``factored_agreement_table`` computes every machine's agreement on every
 input in one batched walk of the input trie, over machines given as
-(accepting set, design set) factors; ``agreement_table`` is its front end
-for a list of machines.  ``agrees`` and ``agreement_vector`` are the
-per-input reference both are tested against.
+(accepting set, design set) factors, the form in which ``MachinePool``
+holds them.  ``agrees`` and ``agreement_vector`` are the per-input
+reference it is tested against.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from .qcore import NORM_TOL, HermitianOperator, StateVector, subspace_probabilit
 # accepting set) do not depend on the rounding of the run's arithmetic.
 VERDICT_TOL = 1e-9
 
-# Upper bound on the amplitudes held at once by agreement_table's trie walk.
+# Upper bound on the amplitudes held at once by factored_agreement_table's
+# trie walk; PoolConfig also refuses machines whose symbol unitaries hold more.
 MAX_LIVE_AMPLITUDES = 1 << 18
 
 
@@ -221,28 +222,6 @@ def e_operator(mach: Machine, x: str) -> HermitianOperator:
     """Conjugate the start-state projector complement by the word unitary."""
     u = mach.word_unitary(x)
     return HermitianOperator(u @ mach.lambda0.entries @ u.conj().T)
-
-
-def agreement_table(machines: Sequence[Machine], rel: RelationTable,
-                    params: AgreementParams) -> np.ndarray:
-    """Read-only (s, 2^n) table: entry (i, x) is ``agrees(machines[i], x, rel, params)``.
-
-    Groups the machines by design set (qubit count and symbol designs) and
-    by accepting set, and hands the factors to ``factored_agreement_table``.
-    """
-    designs: dict[tuple, int] = {}
-    accepting: dict[tuple[int, ...], int] = {}
-    first: list[Machine] = []  # one machine per design set, for its unitaries
-    rows = []
-    for mach in machines:
-        key = (mach.m, mach.encoding.symbol_designs)
-        if key not in designs:
-            designs[key] = len(first)
-            first.append(mach)
-        rows.append((accepting.setdefault(mach.s_acc, len(accepting)), designs[key]))
-    return factored_agreement_table(
-        [(mach.m, [mach.unitary(sym) for sym in SYMBOLS]) for mach in first],
-        list(accepting), np.array(rows, dtype=np.intp).reshape(-1, 2), rel, params)
 
 
 def factored_agreement_table(design_sets: Sequence[tuple[int, Sequence[np.ndarray]]],

@@ -1,10 +1,12 @@
-"""Exact state-vector simulations of the Grover-family subroutines.
+"""The Grover-family subroutines, simulated exactly on the good/bad plane.
 
-Amplitude estimation is phase estimation of the Grover iterate Q: the
-prepared state lives in a two-dimensional Q-invariant plane spanned by its
-normalized good and bad components, where Q acts as a rotation by twice the
-good-amplitude angle.  Measurement distributions are computed exactly from
-that plane; a sample is drawn only where control flow needs an outcome.
+A prepared state enters amplitude estimation, amplification, counting and
+maximum finding only through its good-amplitude angle theta, sin^2(theta)
+being its mass on the good set: the Grover iterate Q rotates the plane
+spanned by the normalized good and bad components by 2 theta.  So every
+subroutine here takes the angle (``good_angle``), or per-item good and bad
+weights, never a state.  Measurement distributions are computed exactly; a
+sample is drawn only where control flow needs an outcome.
 
 Every oracle use (one per good-state phase flip) can be tallied through an
 optional QueryCounter.
@@ -13,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import BadResolution, DimMismatch, IndexOutOfRange, ZeroAngle
-from .qcore import StateVector, UnitaryOperator
+from .errors import BadResolution
 
 
 class QueryCounter:
@@ -37,44 +37,6 @@ class QueryCounter:
 
     def __repr__(self) -> str:
         return f"QueryCounter({self.oracle_calls})"
-
-
-class GoodSubspace:
-    """Boolean table over basis indices marking the good set.
-
-    A table from ``from_mask`` must cover the space exactly; one from
-    ``from_indices`` ends at its largest index and reads False beyond it.
-    """
-
-    __slots__ = ("table", "padded")
-
-    def __init__(self, table, padded: bool = False):
-        self.table = np.array(table, dtype=bool).reshape(-1)
-        self.table.setflags(write=False)
-        self.padded = padded
-
-    @classmethod
-    def from_indices(cls, indices) -> "GoodSubspace":
-        idx = np.fromiter((int(i) for i in indices), dtype=np.int64)
-        if idx.size and idx.min() < 0:
-            raise IndexOutOfRange(f"negative basis index {int(idx.min())}")
-        table = np.zeros(int(idx.max()) + 1 if idx.size else 0, dtype=bool)
-        table[idx] = True
-        return cls(table, padded=True)
-
-    @classmethod
-    def from_mask(cls, mask) -> "GoodSubspace":
-        return cls(mask)
-
-    def mask(self, dim: int) -> np.ndarray:
-        size = self.table.size
-        if size == dim:
-            return self.table
-        if self.padded and size < dim:
-            out = np.zeros(dim, dtype=bool)
-            out[:size] = self.table
-            return out
-        raise DimMismatch(f"good set covers {size} indices, the space has {dim}")
 
 
 @dataclass(frozen=True)
@@ -95,61 +57,6 @@ class EstimationResult:
             raise ValueError(f"zeta_tilde={self.zeta_tilde} outside [0, 1]")
 
 
-class PreparationOperator:
-    """The state-preparation routine; a matrix, or just the state it prepares.
-
-    Reflections about the prepared state only need the state itself, so large
-    preparations can skip materializing the full unitary.
-    """
-
-    __slots__ = ("dim", "unitary", "state")
-
-    def __init__(self, dim: int, unitary: Optional[UnitaryOperator], state: StateVector):
-        if state.dim != dim or (unitary is not None and unitary.dim != dim):
-            raise DimMismatch("preparation pieces disagree on dimension")
-        self.dim = dim
-        self.unitary = unitary
-        self.state = state
-
-    @classmethod
-    def from_unitary(cls, u: UnitaryOperator) -> "PreparationOperator":
-        return cls(u.dim, u, StateVector(u.entries[:, 0]))
-
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "PreparationOperator":
-        return cls(psi.dim, None, psi)
-
-
-def qft(k: int) -> UnitaryOperator:
-    """Fourier transform on k levels: entry (d, z) is e^{2 pi i z d / k} / sqrt(k)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    z = np.arange(k)
-    return UnitaryOperator(np.exp(2j * np.pi * np.outer(z, z) / k) / math.sqrt(k))
-
-
-def _split(a: PreparationOperator, g: GoodSubspace):
-    """Good/bad components of the prepared state and the rotation angle."""
-    psi = a.state.amplitudes
-    mask = g.mask(a.dim)
-    good = np.where(mask, psi, 0.0)
-    bad = np.where(mask, 0.0, psi)
-    zeta = float(np.sum(np.abs(good) ** 2))
-    return good, bad, zeta, good_angle(zeta)
-
-
-def grover_iterate(a: PreparationOperator, g: GoodSubspace) -> UnitaryOperator:
-    """Q = C_A C_good: good-state phase flip, then reflection about the prepared state.
-
-    Each application of C_good costs one oracle call; callers that apply Q
-    repeatedly charge their counters accordingly.
-    """
-    psi = a.state.amplitudes
-    signs = np.where(g.mask(a.dim), -1.0, 1.0)
-    c_a = 2.0 * np.outer(psi, psi.conj()) - np.eye(a.dim)
-    return UnitaryOperator(c_a * signs[np.newaxis, :])
-
-
 def good_angle(good_mass: float) -> float:
     """The angle theta with sin^2(theta) = good mass, the mass clamped to [0, 1]."""
     return math.asin(math.sqrt(min(max(good_mass, 0.0), 1.0)))
@@ -160,17 +67,17 @@ def amplified_good_probability(theta: float, j: int) -> float:
     return math.sin((2 * j + 1) * theta) ** 2
 
 
-def _plane_scales(theta: float, j: int, tol: float = 1e-12) -> tuple[float, float]:
+def _plane_scales(theta: float, j: int) -> tuple[float, float]:
     """Factors by which j Grover iterations scale the good and bad components.
 
     The iterate rotates the good/bad plane, so they are sin((2j+1) theta) /
     sin(theta) and cos((2j+1) theta) / cos(theta); a component of zero weight
-    (sin or cos of theta at most ``tol``) gets 0.
+    (sin or cos of theta at most 1e-12) gets 0.
     """
     rotated = (2 * j + 1) * theta
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    return (math.sin(rotated) / sin_t if sin_t > tol else 0.0,
-            math.cos(rotated) / cos_t if cos_t > tol else 0.0)
+    return (math.sin(rotated) / sin_t if sin_t > 1e-12 else 0.0,
+            math.cos(rotated) / cos_t if cos_t > 1e-12 else 0.0)
 
 
 def amplified_marginal(good: np.ndarray, bad: np.ndarray, theta: float, j: int) -> np.ndarray:
@@ -211,16 +118,6 @@ def phase_distribution(theta: float, k: int) -> np.ndarray:
     return dist
 
 
-_phase_distribution = lru_cache(maxsize=256)(phase_distribution)
-
-
-def estimation_distribution(a: PreparationOperator, g: GoodSubspace, k: int) -> np.ndarray:
-    """Exact outcome distribution of the estimation measurement over z in [0, k)."""
-    check_resolution(k)
-    _, _, _, theta = _split(a, g)
-    return _phase_distribution(theta, k)
-
-
 def estimation_cdf(theta: float, k: int) -> np.ndarray:
     """Cumulative estimation distribution over z in [0, k) for the angle theta."""
     check_resolution(k)
@@ -259,34 +156,6 @@ def sample_estimation(cdf: np.ndarray, rng: np.random.Generator,
                             zeta_tilde=float(zeta_tilde[0]), k=k)
 
 
-def amplitude_estimation(a: PreparationOperator, g: GoodSubspace, k: int,
-                         rng: np.random.Generator,
-                         counter: Optional[QueryCounter] = None) -> EstimationResult:
-    """Phase-estimate the Grover iterate and read off theta ~ pi z / k.
-
-    Charges k - 1 oracle calls (the controlled powers Q, Q^2, ..., Q^{k/2}).
-    """
-    return sample_estimation(np.cumsum(estimation_distribution(a, g, k)), rng, counter)
-
-
-def amplitude_amplify(a: PreparationOperator, g: GoodSubspace, theta_tilde: float,
-                      counter: Optional[QueryCounter] = None,
-                      tol: float = 1e-12) -> StateVector:
-    """Apply Q^l to the prepared state with l = floor(pi / (4 theta_tilde)).
-
-    The result has good-subspace probability sin^2((2l+1) theta) where theta
-    is the true good-amplitude angle.  Charges l oracle calls.
-    """
-    if theta_tilde <= tol:
-        raise ZeroAngle(f"estimated angle {theta_tilde} too small to amplify")
-    good, bad, _, theta = _split(a, g)
-    reps = math.floor(math.pi / (4.0 * theta_tilde))
-    if counter is not None:
-        counter.charge(reps)
-    good_scale, bad_scale = _plane_scales(theta, reps, tol)
-    return StateVector(bad_scale * bad + good_scale * good)
-
-
 def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
     """Cumulative estimation distribution for counting ``count`` marked strings of 2^n.
 
@@ -294,18 +163,6 @@ def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
     asin(sqrt(count / 2^n)), so no state needs to be built.
     """
     return estimation_cdf(good_angle(count / (1 << n)), k)
-
-
-def quantum_count(marked: GoodSubspace, n: int, k: int, rng: np.random.Generator,
-                  counter: Optional[QueryCounter] = None) -> tuple[float, EstimationResult]:
-    """Estimate the size of a marked subset of {0,1}^n as zeta_tilde * 2^n.
-
-    Uses the uniform superposition as preparation, so the estimation angle
-    satisfies sin^2(theta) = |marked| / 2^n exactly (see ``counting_cdf``).
-    """
-    count = int(np.count_nonzero(marked.mask(1 << n)))
-    result = sample_estimation(counting_cdf(count, n, k), rng, counter)
-    return result.zeta_tilde * (1 << n), result
 
 
 def find_maximum(values, rng: np.random.Generator,

@@ -1,9 +1,12 @@
-"""Dense reference for the first algorithm's prepared state.
+"""Dense references for the subroutines ``qsub`` runs on the good/bad plane.
 
-``first_algorithm`` works on the good/bad plane through
-``prepared_weights`` and ``qsub.sample_amplified``.  This module builds the
-full machine x input x agreement-bit state those reductions stand for, so
-the tests can check them against it.  It costs O(s 4^n): keep n small.
+``qsub`` estimates, counts and amplifies from the good-amplitude angle
+alone.  This module simulates the states those laws stand for: the Fourier
+transform, the Grover iterate and the whole phase-estimation register on a
+plain amplitude vector with a boolean good mask, and the full machine x
+input x agreement-bit state of ``first_algorithm`` (reduced there to
+``prepared_weights`` and ``qsub.sample_amplified``).  The joint state costs
+O(s 4^n): keep n small.
 """
 from __future__ import annotations
 
@@ -12,9 +15,32 @@ from typing import Optional
 
 import numpy as np
 
-from aeqslearn import (AgreementParams, GoodSubspace, MachinePool,
-                       PreparationOperator, QueryCounter, RelationTable,
-                       StateVector, amplitude_amplify, walsh_hadamard)
+from aeqslearn import (AgreementParams, MachinePool, QueryCounter,
+                       RelationTable, StateVector, walsh_hadamard)
+
+
+def qft(k: int) -> np.ndarray:
+    """Fourier transform on k levels: entry (d, z) is e^{2 pi i z d / k} / sqrt(k)."""
+    z = np.arange(k)
+    return np.exp(2j * np.pi * np.outer(z, z) / k) / math.sqrt(k)
+
+
+def grover_iterate(psi: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """Q = C_psi C_good: phase flip on the good mask, then reflection about psi."""
+    signs = np.where(good, -1.0, 1.0)
+    c_psi = 2.0 * np.outer(psi, psi.conj()) - np.eye(psi.shape[0])
+    return c_psi * signs[np.newaxis, :]
+
+
+def phase_estimation_distribution(psi: np.ndarray, good: np.ndarray, k: int) -> np.ndarray:
+    """Outcome distribution of the whole register: Q^j psi on level j, then QFT^dagger."""
+    q = grover_iterate(psi, good)
+    joint = np.zeros((k, psi.shape[0]), dtype=complex)
+    v = psi.astype(complex)
+    for j in range(k):
+        joint[j] = v / math.sqrt(k)
+        v = q @ v
+    return np.sum(np.abs(qft(k).conj().T @ joint) ** 2, axis=1)
 
 
 class JointLearningState:
@@ -78,11 +104,14 @@ def amplified_machine_marginal(pool: MachinePool, rel: RelationTable,
                                params: AgreementParams, theta_tilde: float) -> np.ndarray:
     """Machine marginal of the prepared state amplified for the estimate theta_tilde.
 
-    The good set is |machine>|0^n>|1>; ``amplitude_amplify`` applies
-    floor(pi / (4 theta_tilde)) Grover iterations to the dense state.
+    The good set is |machine>|0^n>|1>; the Grover iterate is applied
+    floor(pi / (4 theta_tilde)) times to the dense prepared state.
     """
     n = rel.n
     prepared, _ = finalize_preparation(build_joint_state(pool, rel, params))
-    good = GoodSubspace(np.arange(prepared.dim) % (1 << (n + 1)) == 1)
-    state = amplitude_amplify(PreparationOperator.from_state(prepared), good, theta_tilde)
-    return state.probabilities().reshape(pool.s, -1).sum(axis=1)
+    psi = prepared.amplitudes
+    q = grover_iterate(psi, np.arange(psi.shape[0]) % (1 << (n + 1)) == 1)
+    state = psi
+    for _ in range(math.floor(math.pi / (4.0 * theta_tilde))):
+        state = q @ state
+    return (np.abs(state) ** 2).reshape(pool.s, -1).sum(axis=1)

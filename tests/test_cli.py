@@ -53,6 +53,13 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert "cap" in proc.stderr
 
+    def test_qubit_count_error_allocates_nothing(self, capsys):
+        # in-process: m = 30 would need 4^30 entries per symbol unitary
+        assert cli_module.main(["run", "--relation", "balanced", "--n", "2", "--m", "30",
+                                "--ldesigns", "0", "--sacc", "0", "--algorithm", "brute"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: m=30 qubits")
+
     def test_out_file_matches_stdout(self, tmp_path):
         out = tmp_path / "record.json"
         proc = run_cli("run", "--relation", "balanced", "--n", "2",

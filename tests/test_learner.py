@@ -84,6 +84,13 @@ class TestEnumeratePool:
         with pytest.raises(PoolTooLarge, match="65536"):
             enumerate_pool(cfg)
 
+    def test_qubit_count_is_bounded_before_allocation(self):
+        # a symbol unitary holds 4^m entries; at m = 9 that is the walk's bound
+        PoolConfig(m=9, d=1, l_tuples=0, l_designs=0)
+        for m in (10, 30):
+            with pytest.raises(ValueError, match=f"m={m} qubits"):
+                PoolConfig(m=m, d=1, l_tuples=0, l_designs=0)
+
     def test_pool_rejects_duplicates(self):
         enc = make_encoding()
         with pytest.raises(ValueError):

@@ -5,12 +5,12 @@ import pytest
 from conftest import QUARTER_TURN, WH_PARAMS, gate_design, make_machine
 
 from aeqslearn import (AeqsInstance, AgreementParams, GateParams, Machine,
-                       MachineEncoding, RelationTable, Verdict, accepts,
-                       acceptance_probability, agreement_count, agreement_table,
+                       MachineEncoding, MachinePool, RelationTable, Verdict,
+                       accepts, acceptance_probability, agreement_count,
                        agreement_vector, agrees, all_inputs, basis_state,
-                       bits_to_index, e_operator, hermitian_eigensystem,
-                       index_to_bits, run, sample_encoding, states_equal,
-                       symbol_unitary)
+                       bits_to_index, e_operator, epsilon_close,
+                       hermitian_eigensystem, index_to_bits, run,
+                       sample_encoding, symbol_unitary)
 from aeqslearn import qqaf
 from aeqslearn.errors import BadSymbol, LengthMismatch
 
@@ -58,7 +58,7 @@ class TestRun:
     def test_identity_machine_stays_at_start(self):
         mach = make_machine()
         for x in ("", "0", "1", "0110"):
-            assert states_equal(run(mach, x), basis_state(2, 0))
+            assert epsilon_close(run(mach, x), basis_state(2, 0), 1e-9)
 
     def test_left_endmarker_hadamard(self):
         mach = make_machine(L=gate_design(WH_PARAMS))
@@ -224,16 +224,17 @@ def test_exact_one_reached_up_to_rounding_meets_eta_one():
     eta = AgreementParams(1.0)
     assert 1.0 - qqaf.VERDICT_TOL < acceptance_probability(mach, "0") < 1.0
     assert agrees(mach, "0", rel, eta)
-    assert agreement_table([mach], rel, eta).all()
+    assert MachinePool((mach.encoding,)).agreement_table(rel, eta).all()
     assert accepts(AeqsInstance(mach, eta), "0") is Verdict.ACCEPT
 
 
 def random_pools(count):
-    """Machine lists drawn as the table must handle them.
+    """Pools drawn as the table must handle them.
 
     Qubit counts are mixed within a pool, grids vary per pool, and about a
     third of the encodings come with a twin holding the complementary
-    accepting set, which shares its design set.
+    accepting set, which shares its design set.  Repeated draws are dropped,
+    because a pool holds each encoding once.
     """
     rng = np.random.default_rng(7)
     for _ in range(count):
@@ -246,8 +247,7 @@ def random_pools(count):
             encs.append(enc)
             if rng.random() < 0.35:
                 encs.append(make_complement(enc, 1 << enc.m))
-        shared = {}
-        yield [Machine(e, shared) for e in encs], RelationTable(
+        yield MachinePool(dict.fromkeys(encs)), RelationTable(
             n, rng.integers(2, size=1 << n).astype(bool))
 
 
@@ -257,11 +257,11 @@ def test_agreement_table_matches_per_input_reference(monkeypatch, live):
     # four strings, so the blocked walk is checked against the same reference
     monkeypatch.setattr(qqaf, "MAX_LIVE_AMPLITUDES", live)
     verdicts = 0
-    for machines, rel in random_pools(40):
+    for pool, rel in random_pools(40):
         for eta in (0.75, 0.9, 1.0):
             params = AgreementParams(eta)
-            table = agreement_table(machines, rel, params)
-            reference = np.stack([agreement_vector(m, rel, params) for m in machines])
+            table = pool.agreement_table(rel, params)
+            reference = np.stack([agreement_vector(m, rel, params) for m in pool.machines])
             assert not table.flags.writeable
             assert np.array_equal(table, reference), (eta, rel)
             verdicts += table.size

@@ -2,22 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_state, random_unitary
+from conftest import random_state
+from dense_reference import grover_iterate, phase_estimation_distribution, qft
 
-from aeqslearn import (GoodSubspace, PreparationOperator, QueryCounter,
-                       StateVector, UnitaryOperator, amplified_good_probability,
-                       amplified_marginal, amplitude_amplify,
-                       amplitude_estimation, counting_cdf, estimation_distribution,
+from aeqslearn import (QueryCounter, amplified_good_probability,
+                       amplified_marginal, counting_cdf, estimation_cdf,
                        estimation_outcomes, find_maximum, good_angle,
-                       grover_iterate, prepared_weights, qft, quantum_count,
-                       sample_amplified, sample_estimation)
-from aeqslearn.errors import BadResolution, DimMismatch, ZeroAngle
+                       phase_distribution, prepared_weights, sample_amplified,
+                       sample_estimation)
+from aeqslearn.errors import BadResolution
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
 
 def prep_with_good_mass(zeta, dim=4, good=(1,)):
-    """Real state with exactly the requested good-subspace probability."""
+    """Real state with exactly the requested good-set probability, and the good mask."""
     amps = np.zeros(dim)
     spread_good = math.sqrt(zeta / len(good))
     bad = [i for i in range(dim) if i not in good]
@@ -26,68 +25,62 @@ def prep_with_good_mass(zeta, dim=4, good=(1,)):
         amps[i] = spread_good
     for i in bad:
         amps[i] = spread_bad
-    return PreparationOperator.from_state(StateVector(amps)), GoodSubspace.from_indices(good)
+    mask = np.zeros(dim, dtype=bool)
+    mask[list(good)] = True
+    return amps, mask
 
 
-def full_circuit_distribution(prep, good, k):
-    """Independent oracle: simulate the whole joint register explicitly."""
-    q = grover_iterate(prep, good).entries
-    joint = np.zeros((k, prep.dim), dtype=complex)
-    v = prep.state.amplitudes.copy()
-    for j in range(k):
-        joint[j] = v / math.sqrt(k)
-        v = q @ v
-    mixed = qft(k).entries.conj().T @ joint
-    return np.sum(np.abs(mixed) ** 2, axis=1)
+def good_probability(psi, good):
+    return float(np.sum(np.abs(psi[good]) ** 2))
+
+
+def amplified_dense(psi, good, theta_tilde):
+    """The dense state after floor(pi / (4 theta_tilde)) Grover iterations."""
+    reps = math.floor(math.pi / (4 * theta_tilde))
+    return np.linalg.matrix_power(grover_iterate(psi, good), reps) @ psi
 
 
 class TestQft:
     def test_k2_is_hadamard(self):
-        assert np.allclose(qft(2).entries,
-                           np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-12)
+        assert np.allclose(qft(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-12)
 
     def test_column_zero_is_uniform(self):
         for k in (1, 3, 8):
-            col = qft(k).entries[:, 0]
+            col = qft(k)[:, 0]
             assert np.allclose(col, np.full(k, 1 / math.sqrt(k)), atol=1e-12)
 
     def test_unitarity_up_to_64(self):
         for k in (1, 2, 3, 4, 5, 8, 16, 32, 64):
-            u = qft(k).entries
+            u = qft(k)
             assert np.max(np.abs(u @ u.conj().T - np.eye(k))) <= 1e-9
 
 
 class TestGroverIterate:
     def test_empty_good_set_fixes_prepared_state(self):
-        prep, _ = prep_with_good_mass(0.3)
-        q = grover_iterate(prep, GoodSubspace.from_indices([])).entries
-        psi = prep.state.amplitudes
+        psi, _ = prep_with_good_mass(0.3)
+        q = grover_iterate(psi, np.zeros(4, dtype=bool))
         assert np.allclose(q @ psi, psi, atol=1e-12)
 
     def test_full_good_set_negates_prepared_state(self):
-        prep, _ = prep_with_good_mass(0.3)
-        q = grover_iterate(prep, GoodSubspace.from_indices(range(4))).entries
-        psi = prep.state.amplitudes
+        psi, _ = prep_with_good_mass(0.3)
+        q = grover_iterate(psi, np.ones(4, dtype=bool))
         assert np.allclose(q @ psi, -psi, atol=1e-12)
 
     def test_matches_hand_built_reflections(self):
         rng = np.random.default_rng(50)
         psi = random_state(rng, 6)
-        prep = PreparationOperator.from_state(StateVector(psi))
-        good = GoodSubspace.from_indices([0, 4])
+        good = np.isin(np.arange(6), [0, 4])
         c_good = np.diag([-1 if i in (0, 4) else 1 for i in range(6)]).astype(complex)
         c_a = 2 * np.outer(psi, psi.conj()) - np.eye(6)
-        assert np.allclose(grover_iterate(prep, good).entries, c_a @ c_good, atol=1e-12)
+        assert np.allclose(grover_iterate(psi, good), c_a @ c_good, atol=1e-12)
 
     def test_rotates_plane_by_twice_the_angle(self):
         zeta = 0.3
         theta = math.asin(math.sqrt(zeta))
-        prep, good = prep_with_good_mass(zeta)
-        q = grover_iterate(prep, good).entries
-        mask = good.mask(4)
-        psi = prep.state.amplitudes
-        g_hat = np.where(mask, psi, 0) / math.sin(theta)
-        b_hat = np.where(mask, 0, psi) / math.cos(theta)
+        psi, good = prep_with_good_mass(zeta)
+        q = grover_iterate(psi, good)
+        g_hat = np.where(good, psi, 0) / math.sin(theta)
+        b_hat = np.where(good, 0, psi) / math.cos(theta)
         v = psi.copy()
         for j in range(6):
             expected = math.cos((2 * j + 1) * theta) * b_hat \
@@ -95,38 +88,31 @@ class TestGroverIterate:
             assert np.allclose(v, expected, atol=1e-9)
             v = q @ v
 
-    def test_from_unitary_preparation(self):
-        rng = np.random.default_rng(51)
-        u = UnitaryOperator(random_unitary(rng, 4))
-        prep = PreparationOperator.from_unitary(u)
-        assert np.allclose(prep.state.amplitudes, u.entries[:, 0])
-
 
 class TestAmplitudeEstimation:
     def test_zero_mass_gives_zero_angle_with_certainty(self):
-        prep, good = prep_with_good_mass(0.0)
-        dist = estimation_distribution(prep, good, 64)
+        theta = good_angle(0.0)
+        dist = phase_distribution(theta, 64)
         assert dist[0] == pytest.approx(1.0, abs=1e-12)
         for seed in range(10):
-            res = amplitude_estimation(prep, good, 64, np.random.default_rng(seed))
+            res = sample_estimation(estimation_cdf(theta, 64), np.random.default_rng(seed))
             assert res.z == 0 and res.theta_tilde == 0.0
 
     def test_full_mass_gives_half_pi(self):
-        prep, good = prep_with_good_mass(1.0)
+        cdf = estimation_cdf(good_angle(1.0), 16)
         for seed in range(5):
-            res = amplitude_estimation(prep, good, 16, np.random.default_rng(seed))
+            res = sample_estimation(cdf, np.random.default_rng(seed))
             assert res.z == 8
             assert res.theta_tilde == pytest.approx(math.pi / 2)
             assert res.zeta_tilde == pytest.approx(1.0)
 
     def test_exact_grid_eigenphase_pair(self):
         zeta = math.sin(math.pi / 8) ** 2
-        prep, good = prep_with_good_mass(zeta)
-        dist = estimation_distribution(prep, good, 16)
+        dist = phase_distribution(good_angle(zeta), 16)
         assert dist[2] == pytest.approx(0.5, abs=1e-9)
         assert dist[14] == pytest.approx(0.5, abs=1e-9)
         for seed in range(10):
-            res = amplitude_estimation(prep, good, 16, np.random.default_rng(seed))
+            res = sample_estimation(np.cumsum(dist), np.random.default_rng(seed))
             assert res.z in (2, 14)
             assert res.zeta_tilde == pytest.approx(zeta, abs=1e-12)
 
@@ -135,11 +121,10 @@ class TestAmplitudeEstimation:
         for _ in range(10):
             dim = int(rng.integers(2, 9))
             psi = random_state(rng, dim)
-            good = GoodSubspace.from_mask(rng.integers(2, size=dim).astype(bool))
-            prep = PreparationOperator.from_state(StateVector(psi))
+            good = rng.integers(2, size=dim).astype(bool)
             k = int(2 ** rng.integers(1, 6))
-            dist = estimation_distribution(prep, good, k)
-            oracle = full_circuit_distribution(prep, good, k)
+            dist = phase_distribution(good_angle(good_probability(psi, good)), k)
+            oracle = phase_estimation_distribution(psi, good, k)
             assert np.max(np.abs(dist - oracle)) <= 1e-9
 
     def test_off_grid_mass_on_nearest_pair(self):
@@ -147,113 +132,98 @@ class TestAmplitudeEstimation:
         k = 256
         for _ in range(10):
             zeta = float(rng.uniform(0.02, 0.98))
-            prep, good = prep_with_good_mass(zeta)
-            dist = estimation_distribution(prep, good, k)
+            dist = phase_distribution(good_angle(zeta), k)
             target = k * math.asin(math.sqrt(zeta)) / math.pi
             lo, hi = int(math.floor(target)), int(math.ceil(target))
             mass = dist[lo] + dist[hi] + dist[(k - lo) % k] + dist[(k - hi) % k]
             assert mass >= EIGHT_OVER_PI_SQ - 1e-9
 
     def test_resolution_must_be_power_of_two(self):
-        prep, good = prep_with_good_mass(0.5)
         with pytest.raises(BadResolution):
-            amplitude_estimation(prep, good, 12, np.random.default_rng(0))
+            estimation_cdf(good_angle(0.5), 12)
 
     def test_charges_k_minus_one_calls(self):
-        prep, good = prep_with_good_mass(0.5)
         counter = QueryCounter()
-        amplitude_estimation(prep, good, 32, np.random.default_rng(0), counter)
+        sample_estimation(estimation_cdf(good_angle(0.5), 32), np.random.default_rng(0),
+                          counter)
         assert counter.oracle_calls == 31
 
     def test_deterministic_given_seed(self):
-        prep, good = prep_with_good_mass(0.37)
-        a = amplitude_estimation(prep, good, 64, np.random.default_rng(99))
-        b = amplitude_estimation(prep, good, 64, np.random.default_rng(99))
+        cdf = estimation_cdf(good_angle(0.37), 64)
+        a = sample_estimation(cdf, np.random.default_rng(99))
+        b = sample_estimation(cdf, np.random.default_rng(99))
         assert a == b
 
 
 class TestAmplitudeAmplify:
-    def good_probability(self, state, good):
-        return float(np.sum(np.abs(state.amplitudes[good.mask(state.dim)]) ** 2))
+    # the dense Grover iterate, applied floor(pi / (4 theta~)) times, against the law
 
     def test_full_mass_is_fixed_point(self):
-        prep, good = prep_with_good_mass(1.0)
-        out = amplitude_amplify(prep, good, math.pi / 2)
-        assert self.good_probability(out, good) == pytest.approx(1.0)
+        psi, good = prep_with_good_mass(1.0)
+        out = amplified_dense(psi, good, math.pi / 2)
+        assert good_probability(out, good) == pytest.approx(1.0)
+        assert amplified_good_probability(good_angle(1.0), 0) == pytest.approx(1.0)
 
     def test_quarter_mass_amplifies_to_one(self):
-        prep, good = prep_with_good_mass(0.25)
-        out = amplitude_amplify(prep, good, math.pi / 6)
-        assert self.good_probability(out, good) == pytest.approx(1.0, abs=1e-12)
+        psi, good = prep_with_good_mass(0.25)
+        out = amplified_dense(psi, good, math.pi / 6)
+        assert good_probability(out, good) == pytest.approx(1.0, abs=1e-12)
+        assert amplified_good_probability(good_angle(0.25), 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_mass_stays_half(self):
-        prep, good = prep_with_good_mass(0.5)
-        out = amplitude_amplify(prep, good, math.pi / 4)
-        assert self.good_probability(out, good) == pytest.approx(0.5, abs=1e-12)
+        psi, good = prep_with_good_mass(0.5)
+        out = amplified_dense(psi, good, math.pi / 4)
+        assert good_probability(out, good) == pytest.approx(0.5, abs=1e-12)
+        assert amplified_good_probability(good_angle(0.5), 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_rotation_law_and_matrix_power_oracle(self):
         rng = np.random.default_rng(54)
         for _ in range(20):
             zeta = float(rng.uniform(0.01, 0.99))
             theta = math.asin(math.sqrt(zeta))
-            prep, good = prep_with_good_mass(zeta)
+            psi, good = prep_with_good_mass(zeta)
             reps = math.floor(math.pi / (4 * theta))
-            out = amplitude_amplify(prep, good, theta)
-            expected = math.sin((2 * reps + 1) * theta) ** 2
-            assert abs(self.good_probability(out, good) - expected) <= 1e-9
-            q = grover_iterate(prep, good).entries
-            oracle = np.linalg.matrix_power(q, reps) @ prep.state.amplitudes
-            assert np.allclose(out.amplitudes, oracle, atol=1e-9)
+            oracle = amplified_dense(psi, good, theta)
+            expected = amplified_good_probability(theta, reps)
+            assert abs(good_probability(oracle, good) - expected) <= 1e-9
+            weights = np.abs(psi) ** 2
+            law = amplified_marginal(np.where(good, weights, 0.0),
+                                     np.where(good, 0.0, weights), theta, reps)
+            assert np.allclose(law, np.abs(oracle) ** 2, atol=1e-9)
 
-    def test_zero_angle_rejected(self):
-        prep, good = prep_with_good_mass(0.0)
-        with pytest.raises(ZeroAngle):
-            amplitude_amplify(prep, good, 0.0)
 
-    def test_charges_l_calls(self):
-        prep, good = prep_with_good_mass(0.25)
-        counter = QueryCounter()
-        amplitude_amplify(prep, good, math.pi / 6, counter)
-        assert counter.oracle_calls == 1
+def count_estimate(marked, n, k, rng):
+    return sample_estimation(counting_cdf(marked, n, k), rng).zeta_tilde * (1 << n)
 
 
 class TestQuantumCount:
     def test_no_marked_items(self):
         for seed in range(5):
-            est, _ = quantum_count(GoodSubspace.from_indices([]), 4, 64,
-                                   np.random.default_rng(seed))
-            assert est == 0.0
+            assert count_estimate(0, 4, 64, np.random.default_rng(seed)) == 0.0
 
     def test_all_marked(self):
         for seed in range(5):
-            est, _ = quantum_count(GoodSubspace.from_indices(range(16)), 4, 64,
-                                   np.random.default_rng(seed))
-            assert est == pytest.approx(16.0)
+            assert count_estimate(16, 4, 64, np.random.default_rng(seed)) == pytest.approx(16.0)
 
     def test_closed_form_angle_matches_dense_distribution(self):
         # counting reads the angle from the marked count alone; on the uniform
-        # preparation that must give the distribution the state-level
-        # estimation gives, for every count and wherever the marked set lies
+        # preparation that must give the distribution the whole phase-estimation
+        # register gives, for every count and wherever the marked set lies
         rng = np.random.default_rng(41)
         k = 64
         for n in range(7):
             dim = 1 << n
-            uniform = PreparationOperator.from_state(
-                StateVector(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)))
+            uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
             for c in range(dim + 1):
                 mask = np.zeros(dim, dtype=bool)
                 mask[rng.permutation(dim)[:c]] = True
-                dense = estimation_distribution(uniform, GoodSubspace.from_mask(mask), k)
+                dense = phase_estimation_distribution(uniform, mask, k)
                 closed = np.diff(counting_cdf(c, n, k), prepend=0.0)
                 assert np.max(np.abs(closed - dense)) <= 1e-12, (n, c)
 
     def test_shared_sampler_reproduces_quantum_count(self):
-        marked = GoodSubspace.from_indices([1, 5, 6])
-        for seed in range(20):
-            est, result = quantum_count(marked, 3, 256, np.random.default_rng(seed))
-            again = sample_estimation(counting_cdf(3, 3, 256), np.random.default_rng(seed))
-            assert again == result and est == result.zeta_tilde * 8
-        # the array form maps fixed uniforms exactly as repeated scalar draws do
+        # the array sampler second_algorithm counts with maps fixed uniforms
+        # exactly as repeated scalar counting draws do
         for c, k in ((0, 64), (3, 256), (5, 1024), (8, 1024)):
             cdf = counting_cdf(c, 3, k)
             uniforms = np.random.default_rng(c).random(300)
@@ -266,12 +236,11 @@ class TestQuantumCount:
     def test_single_marked_error_bound(self):
         # counting one item out of four at k = 1024: the standard error bound
         # 2 pi sqrt(c N)/k + pi^2 N / k^2 should hold on a healthy fraction
-        n, k, marked = 2, 1024, GoodSubspace.from_indices([3])
+        n, k = 2, 1024
         bound = 2 * math.pi * math.sqrt(1 * 4) / k + math.pi**2 * 4 / k**2
         hits = 0
         for seed in range(100):
-            est, _ = quantum_count(marked, n, k, np.random.default_rng(seed))
-            hits += abs(est - 1.0) <= bound
+            hits += abs(count_estimate(1, n, k, np.random.default_rng(seed)) - 1.0) <= bound
         assert hits >= 40
 
 
@@ -413,18 +382,3 @@ class TestFindMaximum:
             vals = np.random.default_rng(1).integers(0, 100, size=n_items)
             find_maximum(vals, np.random.default_rng(2), counter)
             assert counter.oracle_calls <= 15 * math.sqrt(n_items) * math.log2(n_items)
-
-
-class TestGoodSubspace:
-    def test_mask_must_cover_the_space(self):
-        good = GoodSubspace.from_mask([True, False, True, False])
-        assert good.mask(4).tolist() == [True, False, True, False]
-        with pytest.raises(DimMismatch):
-            good.mask(8)
-
-    def test_indices_pad_up_to_the_space(self):
-        good = GoodSubspace.from_indices([0, 2])
-        assert good.mask(5).tolist() == [True, False, True, False, False]
-        assert not GoodSubspace.from_indices([]).mask(3).any()
-        with pytest.raises(DimMismatch):
-            good.mask(2)
