@@ -13,13 +13,11 @@ from .learner import (LearnReport, MachinePool, PoolConfig, brute_force_optimum,
                       prepared_weights, sample_encoding, second_algorithm,
                       verify_condition_star)
 from .qcore import (Eigensystem, HermitianOperator, StateVector,
-                    UnitaryOperator, basis_state, dis, epsilon_close,
-                    hermitian_eigensystem, phase_distance, sample_basis,
-                    spectral_gap, subspace_probability, tensor)
+                    UnitaryOperator, epsilon_close, hermitian_eigensystem,
+                    phase_distance, spectral_gap, subspace_probability)
 from .qqaf import (VERDICT_TOL, AgreementParams, Machine, RelationTable,
-                   acceptance_probability, agreement_count, agreement_vector,
-                   agrees, all_inputs, bits_to_index, e_operator,
-                   index_to_bits, meets_threshold, run)
+                   all_inputs, bits_to_index, e_operator, index_to_bits,
+                   meets_threshold, run)
 from .qsub import (EstimationResult, QueryCounter, amplified_good_probability,
                    amplified_marginal, counting_cdf, estimation_cdf,
                    estimation_outcomes, find_maximum, good_angle,

@@ -23,7 +23,7 @@ from .gates import (SYMBOLS, DesignTuple, GateParams, MachineEncoding,
                     SymbolDesign, check_accepting_set, check_symbol_design,
                     design_lines, sacc_line, serialize)
 from .qqaf import (MAX_LIVE_AMPLITUDES, AgreementParams, Machine, RelationTable,
-                   UnitaryCache, factored_agreement_table, shared_unitary)
+                   UnitaryCache, factored_agreement_counts, shared_unitary)
 from .qsub import (QueryCounter, counting_cdf, estimation_cdf,
                    estimation_outcomes, find_maximum, good_angle,
                    sample_amplified, sample_estimation)
@@ -141,18 +141,8 @@ class MachinePool:
     def machines(self) -> tuple[Machine, ...]:
         return tuple(Machine(e, self._unitaries) for e in self.encodings)
 
-    def agreement_table(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
-        """The read-only (s, 2^n) agreement table, built on every call.
-
-        The pipeline reads only its row sums, through ``agreement_counts``.
-        """
-        return factored_agreement_table(
-            [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
-             for m, sds in self.design_sets],
-            self.accepting_sets, self.rows, rel, params)
-
     def agreement_counts(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
-        """Read-only row sums of ``agreement_table``: each machine's agreement count.
+        """Read-only agreement count of each machine, over all 2^n inputs.
 
         Memoized on (n, members, eta), keeping the COUNTS_MEMO_SIZE most
         recently used.  Callers charge their own oracle queries; the memo only
@@ -161,8 +151,10 @@ class MachinePool:
         key = (rel.n, rel.members.tobytes(), params.eta)
         counts = self._counts.get(key)
         if counts is None:
-            counts = self._counts[key] = self.agreement_table(rel, params).sum(axis=1)
-            counts.setflags(write=False)
+            counts = self._counts[key] = factored_agreement_counts(
+                [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
+                 for m, sds in self.design_sets],
+                self.accepting_sets, self.rows, rel, params)
             if len(self._counts) > COUNTS_MEMO_SIZE:
                 self._counts.popitem(last=False)
         else:

@@ -47,14 +47,6 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    if not 0 <= index < dim:
-        raise IndexOutOfRange(f"basis index {index} outside [0, {dim})")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
 class HermitianOperator:
     """Square complex matrix equal to its conjugate transpose."""
 
@@ -100,9 +92,6 @@ class UnitaryOperator:
             raise DimMismatch(f"operator dim {self.dim} vs state dim {state.dim}")
         return StateVector(self.entries @ state.amplitudes)
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.entries.conj().T)
-
     def __repr__(self) -> str:
         return f"UnitaryOperator(dim={self.dim})"
 
@@ -135,21 +124,6 @@ class Eigensystem:
         return self.eigenvectors[0]
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two operators of the same kind.
-
-    Big-endian convention: the first factor owns the most significant index
-    bits, so basis |i> (dim p) tensor |j> (dim q) lands at index i*q + j.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, UnitaryOperator) and isinstance(b, UnitaryOperator):
-        return UnitaryOperator(np.kron(a.entries, b.entries))
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.entries, b.entries))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
 def hermitian_eigensystem(h: HermitianOperator) -> Eigensystem:
     """Diagonalize, eigenvalues ascending; the ground state is eigenvectors[0]."""
     evals, evecs = np.linalg.eigh(h.entries)
@@ -175,24 +149,6 @@ def subspace_probability(s: StateVector, indices) -> float:
     if not idx:
         return 0.0
     return float(np.sum(np.abs(s.amplitudes[idx]) ** 2))
-
-
-def sample_basis(s: StateVector, rng: np.random.Generator) -> int:
-    """Draw one basis index with probability |amplitude|^2.
-
-    Deterministic given the generator state; indices with exactly zero
-    probability are never drawn.
-    """
-    cdf = np.cumsum(s.probabilities())
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), s.dim - 1))
-
-
-def dis(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|, the overlap magnitude."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} vs {b.dim}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 
 def epsilon_close(a: StateVector, b: StateVector, eps: float) -> bool:

@@ -1,15 +1,14 @@
-"""One-way machine semantics: runs, acceptance, agreement with a relation.
+"""One-way machine semantics: runs and agreement with a relation.
 
 A machine reads the endmarked input L x_1 ... x_n R, applying one cached
 unitary per symbol to the start state |0>.  Acceptance probability is the
 mass on the accepting set; agreement with a relation at threshold eta is
 evaluated exactly from amplitudes, never by sampling.
 
-``factored_agreement_table`` computes every machine's agreement on every
-input in one batched walk of the input trie, over machines given as
-(accepting set, design set) factors, the form in which ``MachinePool``
-holds them.  ``agrees`` and ``agreement_vector`` are the per-input
-reference it is tested against.
+``factored_agreement_counts`` computes every machine's agreement count in
+one batched walk of the input trie, over machines given as (accepting set,
+design set) factors, the form in which ``MachinePool`` holds them.  The
+per-input reference it is tested against lives with the tests.
 """
 from __future__ import annotations
 
@@ -20,15 +19,16 @@ import numpy as np
 
 from .errors import BadSymbol, LengthMismatch
 from .gates import MachineEncoding, START_STATE, SYMBOLS, SymbolDesign, symbol_unitary
-from .qcore import NORM_TOL, HermitianOperator, StateVector, subspace_probability
+from .qcore import NORM_TOL, HermitianOperator, StateVector
 
 # A probability within this distance below eta still meets the threshold, so
 # that exact ties (eta = 1 reached by a state that is exactly on the
 # accepting set) do not depend on the rounding of the run's arithmetic.
 VERDICT_TOL = 1e-9
 
-# Upper bound on the amplitudes held at once by factored_agreement_table's
-# trie walk; PoolConfig also refuses machines whose symbol unitaries hold more.
+# Upper bound on the amplitudes held at once by factored_agreement_counts's
+# trie walk; PoolConfig, parse_relation and check_resolution also refuse
+# qubit counts, input lengths and Fourier resolutions that need more.
 MAX_LIVE_AMPLITUDES = 1 << 18
 
 
@@ -108,10 +108,6 @@ class RelationTable:
     def size(self) -> int:
         return int(self.members.sum())
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RelationTable) and self.n == other.n
-                and bool(np.all(self.members == other.members)))
-
     def __repr__(self) -> str:
         return f"RelationTable(n={self.n}, size={self.size})"
 
@@ -189,45 +185,16 @@ def run(mach: Machine, x: str) -> StateVector:
     return StateVector(mach.unitary("R") @ v)
 
 
-def acceptance_probability(mach: Machine, x: str) -> float:
-    return subspace_probability(run(mach, x), mach.s_acc)
-
-
-def agrees(mach: Machine, x: str, rel: RelationTable, params: AgreementParams) -> bool:
-    """Does the acceptor match the relation on x at threshold eta?
-
-    Members must be accepted with probability >= eta, non-members rejected
-    with probability >= eta; equality counts as satisfying the threshold.
-    """
-    if len(x) != rel.n:
-        raise LengthMismatch(f"input length {len(x)} vs relation length {rel.n}")
-    p_acc = acceptance_probability(mach, x)
-    return bool(meets_threshold(p_acc if rel.contains(x) else 1.0 - p_acc, params.eta))
-
-
-def agreement_vector(mach: Machine, rel: RelationTable, params: AgreementParams) -> np.ndarray:
-    """Agreement bit for every input of length n, in index order."""
-    bits = np.zeros(1 << rel.n, dtype=bool)
-    for i, x in enumerate(all_inputs(rel.n)):
-        bits[i] = agrees(mach, x, rel, params)
-    return bits
-
-
-def agreement_count(mach: Machine, rel: RelationTable, params: AgreementParams) -> int:
-    """Number of length-n inputs on which the machine agrees, by exact enumeration."""
-    return int(agreement_vector(mach, rel, params).sum())
-
-
 def e_operator(mach: Machine, x: str) -> HermitianOperator:
     """Conjugate the start-state projector complement by the word unitary."""
     u = mach.word_unitary(x)
     return HermitianOperator(u @ mach.lambda0.entries @ u.conj().T)
 
 
-def factored_agreement_table(design_sets: Sequence[tuple[int, Sequence[np.ndarray]]],
-                             accepting_sets: Sequence[tuple[int, ...]], rows: np.ndarray,
-                             rel: RelationTable, params: AgreementParams) -> np.ndarray:
-    """Read-only (s, 2^n) agreement table of machines given by their factors.
+def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarray]]],
+                              accepting_sets: Sequence[tuple[int, ...]], rows: np.ndarray,
+                              rel: RelationTable, params: AgreementParams) -> np.ndarray:
+    """Read-only agreement counts, over all 2^n inputs, of machines given by their factors.
 
     Machine r accepts on ``accepting_sets[rows[r, 0]]`` and runs the design
     set ``design_sets[rows[r, 1]]``, a qubit count with its symbol unitaries
@@ -237,10 +204,11 @@ def factored_agreement_table(design_sets: Sequence[tuple[int, Sequence[np.ndarra
     computed once, in blocks holding at most about MAX_LIVE_AMPLITUDES
     amplitudes or acceptance probabilities.  An (accepting sets, 2^m) 0/1
     mask then turns each run's final probabilities into the acceptance
-    probability of every accepting set at once.
+    probability of every accepting set at once, and each chunk of inputs
+    adds its verdicts to the counts; no (s, 2^n) table is held.
     """
     n = rel.n
-    table = np.empty((rows.shape[0], 1 << n), dtype=bool)
+    counts = np.zeros(rows.shape[0], dtype=int)
     qubits = np.array([m for m, _ in design_sets], dtype=np.intp)
     for m in sorted(set(qubits.tolist())):
         sets = np.flatnonzero(qubits == m)
@@ -261,18 +229,18 @@ def factored_agreement_table(design_sets: Sequence[tuple[int, Sequence[np.ndarra
         for lo in range(0, sets.size, per_block):
             inside = (set_of >= lo) & (set_of < lo + per_block)
             block = {sym: stack[lo:lo + per_block] for sym, stack in right.items()}
-            _fill_block(table, block, mask, members[inside], set_of[inside] - lo,
+            _fill_block(counts, block, mask, members[inside], set_of[inside] - lo,
                         acc_of[inside], rel, params, depth)
-    table.setflags(write=False)
-    return table
+    counts.setflags(write=False)
+    return counts
 
 
-def _fill_block(table: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarray,
+def _fill_block(counts: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarray,
                 rows: np.ndarray, set_of: np.ndarray, acc_of: np.ndarray,
                 rel: RelationTable, params: AgreementParams, depth: int) -> None:
-    """Verdicts for the machines of one block of design sets, 2^depth inputs at a time.
+    """Add up the verdicts of one block of design sets, 2^depth inputs at a time.
 
-    Table row ``rows[i]`` runs the stacked design set ``set_of[i]`` and
+    Machine ``rows[i]`` runs the stacked design set ``set_of[i]`` and
     accepts on mask row ``acc_of[i]``.  Each chunk of inputs shares its
     first n - depth bits; the states after that common prefix are computed
     once per design set and then expanded breadth-first over the last
@@ -293,6 +261,6 @@ def _fill_block(table: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarra
         if defect > NORM_TOL:
             raise ValueError(f"run state is not unit norm: max |sum |a|^2 - 1| = {defect!r}")
         p_acc = np.einsum("gpd,ad->gpa", probs, mask)[set_of, :, acc_of]
-        cols = slice(top * width, (top + 1) * width)
-        side = np.where(rel.members[cols], p_acc, 1.0 - p_acc)
-        table[rows, cols] = meets_threshold(side, params.eta)
+        side = np.where(rel.members[top * width:(top + 1) * width], p_acc, 1.0 - p_acc)
+        # the rows of a block are distinct, so this indexed add loses no update
+        counts[rows] += meets_threshold(side, params.eta).sum(axis=1)

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadResolution
+from .qqaf import MAX_LIVE_AMPLITUDES
 
 
 class QueryCounter:
@@ -92,16 +93,23 @@ def amplified_marginal(good: np.ndarray, bad: np.ndarray, theta: float, j: int) 
 
 def sample_amplified(good: np.ndarray, bad: np.ndarray, theta: float, j: int,
                      rng: np.random.Generator) -> int:
-    """Draw an item from ``amplified_marginal`` with one uniform, as ``sample_basis`` does."""
+    """Draw an item from ``amplified_marginal`` with one uniform.
+
+    Deterministic given the generator state; items of exactly zero
+    probability are never drawn.
+    """
     cdf = np.cumsum(amplified_marginal(good, bad, theta, j))
     u = rng.random() * cdf[-1]
     return int(min(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1))
 
 
 def check_resolution(k: int) -> None:
-    """Raise BadResolution unless the Fourier resolution k is a power of two."""
+    """Raise BadResolution unless k is a power of two of at most MAX_LIVE_AMPLITUDES."""
     if k < 1 or k & (k - 1):
         raise BadResolution(f"Fourier resolution k must be a power of two, got {k}")
+    if k > MAX_LIVE_AMPLITUDES:
+        raise BadResolution(f"Fourier resolution k={k} is more than the "
+                            f"{MAX_LIVE_AMPLITUDES} outcomes an estimation may hold")
 
 
 def phase_distribution(theta: float, k: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 
 from .errors import LengthMismatch, MalformedRelationFile, OddLengthForEq
-from .qqaf import RelationTable
+from .qqaf import MAX_LIVE_AMPLITUDES, RelationTable
 
 
 def _eq(n: int) -> RelationTable:
@@ -32,6 +32,13 @@ BUILTIN_RELATIONS = {
 }
 
 
+def _check_length(n: int) -> None:
+    """Refuse n with 2^n inputs above MAX_LIVE_AMPLITUDES, without forming 2^n."""
+    if n >= MAX_LIVE_AMPLITUDES.bit_length():
+        raise ValueError(f"n={n} gives 2^n inputs, more than the "
+                         f"{MAX_LIVE_AMPLITUDES} a relation may hold")
+
+
 def parse_relation_text(text: str) -> RelationTable:
     declared = None
     accepted: list[str] = []
@@ -45,6 +52,7 @@ def parse_relation_text(text: str) -> RelationTable:
                 raise MalformedRelationFile(
                     f"line {lineno}: first payload line must be 'n=<int>', got {line!r}")
             declared = int(line[2:])
+            _check_length(declared)
             continue
         if len(line) != declared:
             raise LengthMismatch(
@@ -66,6 +74,7 @@ def parse_relation(source: str, n: int) -> RelationTable:
 
     File-backed tables must declare the same length n as requested.
     """
+    _check_length(n)
     if source in BUILTIN_RELATIONS:
         return BUILTIN_RELATIONS[source](n)
     if not os.path.exists(source):

@@ -1,4 +1,4 @@
-"""Shared encoding factories and the CLI subprocess runner for the tests."""
+"""Shared encoding and state factories and the CLI subprocess runner for the tests."""
 import os
 import subprocess
 import sys
@@ -8,7 +8,8 @@ import numpy as np
 
 import aeqslearn
 from aeqslearn import (DesignTuple, GateParams, Machine, MachineEncoding,
-                       SymbolDesign, SYMBOLS)
+                       StateVector, SymbolDesign, SYMBOLS)
+from aeqslearn.errors import IndexOutOfRange
 
 # Exact grid realizations on the default 8-step grid:
 #   e^{i pi/2} R(pi/4) diag(e^{-i pi/2}, e^{i pi/2}) is the Hadamard transform,
@@ -35,6 +36,14 @@ def make_encoding(m: int = 1, s_acc=(0,), **symbol_overrides) -> MachineEncoding
 
 def make_machine(m: int = 1, s_acc=(0,), **symbol_overrides) -> Machine:
     return Machine(make_encoding(m, s_acc, **symbol_overrides))
+
+
+def basis_state(dim: int, index: int) -> StateVector:
+    if not 0 <= index < dim:
+        raise IndexOutOfRange(f"basis index {index} outside [0, {dim})")
+    amps = np.zeros(dim, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

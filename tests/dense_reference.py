@@ -1,12 +1,14 @@
-"""Dense references for the subroutines ``qsub`` runs on the good/bad plane.
+"""Dense and per-input references for what the library computes in closed form.
 
-``qsub`` estimates, counts and amplifies from the good-amplitude angle
-alone.  This module simulates the states those laws stand for: the Fourier
-transform, the Grover iterate and the whole phase-estimation register on a
-plain amplitude vector with a boolean good mask, and the full machine x
-input x agreement-bit state of ``first_algorithm`` (reduced there to
-``prepared_weights`` and ``qsub.sample_amplified``).  The joint state costs
-O(s 4^n): keep n small.
+``qqaf.factored_agreement_counts`` counts every machine's agreements in one
+trie walk; ``agrees`` and ``agreement_vector`` decide agreement one machine
+and one input at a time, by running the machine.  ``qsub`` estimates, counts
+and amplifies from the good-amplitude angle alone.  This module simulates
+the states those laws stand for: the Fourier transform, the Grover iterate
+and the whole phase-estimation register on a plain amplitude vector with a
+boolean good mask, and the full machine x input x agreement-bit state of
+``first_algorithm`` (reduced there to ``prepared_weights`` and
+``qsub.sample_amplified``).  The joint state costs O(s 4^n): keep n small.
 """
 from __future__ import annotations
 
@@ -15,8 +17,45 @@ from typing import Optional
 
 import numpy as np
 
-from aeqslearn import (AgreementParams, MachinePool, QueryCounter,
-                       RelationTable, StateVector, walsh_hadamard)
+from aeqslearn import (AgreementParams, Machine, MachinePool, QueryCounter,
+                       RelationTable, StateVector, all_inputs, meets_threshold,
+                       run, subspace_probability, walsh_hadamard)
+from aeqslearn.errors import LengthMismatch
+
+
+def acceptance_probability(mach: Machine, x: str) -> float:
+    return subspace_probability(run(mach, x), mach.s_acc)
+
+
+def agrees(mach: Machine, x: str, rel: RelationTable, params: AgreementParams) -> bool:
+    """Does the acceptor match the relation on x at threshold eta?
+
+    Members must be accepted with probability >= eta, non-members rejected
+    with probability >= eta; equality counts as satisfying the threshold.
+    """
+    if len(x) != rel.n:
+        raise LengthMismatch(f"input length {len(x)} vs relation length {rel.n}")
+    p_acc = acceptance_probability(mach, x)
+    return bool(meets_threshold(p_acc if rel.contains(x) else 1.0 - p_acc, params.eta))
+
+
+def agreement_vector(mach: Machine, rel: RelationTable, params: AgreementParams) -> np.ndarray:
+    """Agreement bit for every input of length n, in index order."""
+    bits = np.zeros(1 << rel.n, dtype=bool)
+    for i, x in enumerate(all_inputs(rel.n)):
+        bits[i] = agrees(mach, x, rel, params)
+    return bits
+
+
+def agreement_count(mach: Machine, rel: RelationTable, params: AgreementParams) -> int:
+    """Number of length-n inputs on which the machine agrees, by exact enumeration."""
+    return int(agreement_vector(mach, rel, params).sum())
+
+
+def agreement_table(pool: MachinePool, rel: RelationTable,
+                    params: AgreementParams) -> np.ndarray:
+    """The (s, 2^n) table of ``agreement_vector`` rows, one per pool machine."""
+    return np.stack([agreement_vector(mach, rel, params) for mach in pool.machines])
 
 
 def qft(k: int) -> np.ndarray:
@@ -76,7 +115,7 @@ def build_joint_state(pool: MachinePool, rel: RelationTable, params: AgreementPa
     Evaluating each of the s * 2^n agreement bits costs one supervisor query.
     """
     s, n = pool.s, rel.n
-    table = pool.agreement_table(rel, params)
+    table = agreement_table(pool, rel, params)
     if counter is not None:
         counter.charge(s << n)
     amps = np.zeros((s, 1 << n, 2), dtype=complex)

@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 from conftest import QUARTER_TURN, gate_design, make_encoding, run_cli
-from dense_reference import build_joint_state, finalize_preparation
+from dense_reference import (agreement_count, build_joint_state,
+                             finalize_preparation)
 
 from aeqslearn import (AgreementParams, MachinePool, PoolConfig, RelationTable,
-                       agreement_count, brute_force_optimum, enumerate_pool,
-                       first_algorithm, parse_relation, prepared_weights,
-                       sample_encoding, second_algorithm, serialize,
-                       verify_condition_star)
+                       brute_force_optimum, enumerate_pool, first_algorithm,
+                       parse_relation, prepared_weights, sample_encoding,
+                       second_algorithm, serialize, verify_condition_star)
 from aeqslearn.suites import (counting_suite, estimation_suite, lemma1_suite,
                               lemma2_suite, maxfind_suite)
 
@@ -67,7 +67,7 @@ def test_criterion_3_good_amplitude_law():
         for n in (1, 2, 3):
             rel = RelationTable(n, rng.integers(2, size=1 << n).astype(bool))
             _, amps = finalize_preparation(build_joint_state(pool, rel, ETA))
-            good, _ = prepared_weights(pool.agreement_table(rel, ETA).sum(axis=1), n)
+            good, _ = prepared_weights(pool.agreement_counts(rel, ETA), n)
             reduced = max(reduced, float(np.max(np.abs(good - np.abs(amps) ** 2))))
             for m_idx, mach in enumerate(pool.machines):
                 f = agreement_count(mach, rel, ETA) / (1 << n)

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import WH_PARAMS, gate_design, make_machine, random_state
+from conftest import (WH_PARAMS, basis_state, gate_design, make_machine,
+                      random_state)
 
 from aeqslearn import (AeqsInstance, AgreementParams, HermitianOperator,
                        Machine, RelationTable, Verdict, accepts,
-                       adiabatic_time_bound, basis_state, e_operator,
-                       epsilon_close, ground_state, h_fin, h_ini, index_to_bits,
-                       interpolate, phase_distance, run, sample_encoding,
-                       solves, spectral_gap, walsh_hadamard)
+                       adiabatic_time_bound, e_operator, epsilon_close,
+                       ground_state, h_fin, h_ini, index_to_bits, interpolate,
+                       phase_distance, run, sample_encoding, solves,
+                       spectral_gap, walsh_hadamard)
 from aeqslearn.errors import BadTime, DegenerateGroundState, ZeroGap
 
 ETA = AgreementParams(0.9)

@@ -60,6 +60,29 @@ class TestRunCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: m=30 qubits")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--relation", "balanced", "--n", "40"], "error: n=40 gives 2^n inputs"),
+        (["--relation", "FILE", "--n", "2"], "error: n=40 gives 2^n inputs"),
+        (["--relation", "balanced", "--n", "2", "--k", str(2**40)],
+         "error: Fourier resolution k=1099511627776"),
+    ], ids=["builtin-n40", "file-n40", "k-2^40"])
+    def test_length_and_resolution_errors_allocate_nothing(self, argv, message,
+                                                           tmp_path, monkeypatch, capsys):
+        # in-process: n = 40 would need a 2^40-entry relation, k = 2^40 a 2^40-entry
+        # distribution; a relation table built at all fails the test at once
+        def refuse(cls, *args):
+            raise AssertionError("a relation table was built")
+
+        for name in ("from_predicate", "from_strings"):
+            monkeypatch.setattr(qqaf.RelationTable, name, classmethod(refuse))
+        path = tmp_path / "rel.txt"
+        path.write_text("n=40\n")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert cli_module.main(["run", *argv, "--m", "1", "--ldesigns", "0",
+                                "--sacc", "0", "--algorithm", "second"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message)
+
     def test_out_file_matches_stdout(self, tmp_path):
         out = tmp_path / "record.json"
         proc = run_cli("run", "--relation", "balanced", "--n", "2",

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 from conftest import QUARTER_TURN, gate_design, make_encoding
 
-from dense_reference import (JointLearningState, amplified_machine_marginal,
+from dense_reference import (JointLearningState, agreement_count,
+                             agreement_table, amplified_machine_marginal,
                              build_joint_state, finalize_preparation)
 from golden import SACC_ALL16
 
 from aeqslearn import (AgreementParams, DesignTuple, GateParams, MachineEncoding,
                        MachinePool, PoolConfig, QueryCounter, RelationTable,
-                       StateVector, SymbolDesign, agreement_count,
-                       amplified_marginal, brute_force_optimum, enumerate_pool,
-                       first_algorithm, good_angle, parse_relation, pool_size,
-                       prepared_weights, sample_encoding, second_algorithm,
-                       serialize, verify_condition_star)
+                       StateVector, SymbolDesign, amplified_marginal,
+                       brute_force_optimum, enumerate_pool, first_algorithm,
+                       good_angle, parse_relation, pool_size, prepared_weights,
+                       sample_encoding, second_algorithm, serialize,
+                       verify_condition_star)
 from aeqslearn.errors import PoolTooLarge
 from aeqslearn.gates import design_lines
-from aeqslearn.learner import seeded_streams
+from aeqslearn.learner import COUNTS_MEMO_SIZE, seeded_streams
 
 ETA = AgreementParams(0.9)
 
@@ -136,8 +137,8 @@ class TestEnumeratePool:
         rebuilt = MachinePool(reversed(pool.encodings))
         assert rebuilt.encodings == pool.encodings
         rel = parse_relation("parity-even", 3)
-        assert np.array_equal(rebuilt.agreement_table(rel, ETA),
-                              pool.agreement_table(rel, ETA))
+        assert np.array_equal(rebuilt.agreement_counts(rel, ETA),
+                              pool.agreement_counts(rel, ETA))
 
     @pytest.mark.parametrize("s_acc", [(9,), (-1,), (0, 4)])
     def test_accepting_sets_are_checked_before_enumeration(self, s_acc):
@@ -151,7 +152,24 @@ class TestEnumeratePool:
         counts = pool.agreement_counts(rel, ETA)
         assert counts is pool.agreement_counts(rel, ETA)
         assert not counts.flags.writeable
-        assert np.array_equal(counts, pool.agreement_table(rel, ETA).sum(axis=1))
+        assert np.array_equal(counts, agreement_table(pool, rel, ETA).sum(axis=1))
+
+    def test_counts_memo_drops_the_least_recently_used(self):
+        pool = parity_pool(fillers=1)
+        rels = [RelationTable(4, [(i >> b) & 1 for i in range(16)]) for b in range(4)]
+        rels += [parse_relation(name, 4) for name in ("all", "none", "eq", "balanced")]
+        keys = [(rel, AgreementParams(eta)) for eta in (0.9, 1.0) for rel in rels]
+        assert len(keys) == COUNTS_MEMO_SIZE
+        first = [pool.agreement_counts(rel, params) for rel, params in keys]
+        assert first[0] is not first[len(rels)]  # keys differ by eta
+        assert pool.agreement_counts(*keys[0]) is first[0]  # a hit keeps its entry
+        extra = RelationTable.from_strings(4, ["0110"])
+        pool.agreement_counts(extra, ETA)  # the 17th key evicts keys[1], now the oldest
+        assert pool.agreement_counts(*keys[0]) is first[0]
+        for i in range(2, COUNTS_MEMO_SIZE):
+            assert pool.agreement_counts(*keys[i]) is first[i]
+        again = pool.agreement_counts(*keys[1])
+        assert again is not first[1] and np.array_equal(again, first[1])
 
 
 class TestJointState:
@@ -192,10 +210,6 @@ def random_pool(rng, size=12):
     return MachinePool(tuple(encs.values()))
 
 
-def pool_counts(pool, rel):
-    return pool.agreement_table(rel, ETA).sum(axis=1)
-
-
 class TestFinalize:
     def test_good_amplitude_law(self):
         rng = np.random.default_rng(60)
@@ -206,7 +220,7 @@ class TestFinalize:
             fractions = np.array([
                 agreement_count(mach, rel, ETA) / (1 << n) for mach in pool.machines])
             assert np.max(np.abs(amps + fractions / math.sqrt(pool.s))) <= 1e-9
-            good, bad = prepared_weights(pool_counts(pool, rel), n)
+            good, bad = prepared_weights(pool.agreement_counts(rel, ETA), n)
             per_machine = prepared.probabilities().reshape(pool.s, -1).sum(axis=1)
             assert np.max(np.abs(good - np.abs(amps) ** 2)) <= 1e-12
             assert np.max(np.abs(good + bad - per_machine)) <= 1e-12
@@ -235,7 +249,7 @@ class TestFirstAlgorithm:
             pool = random_pool(rng, size=int(rng.integers(1, 13)))
             for n in (1, 2, 3):
                 rel = RelationTable(n, rng.integers(2, size=1 << n).astype(bool))
-                good, bad = prepared_weights(pool_counts(pool, rel), n)
+                good, bad = prepared_weights(pool.agreement_counts(rel, ETA), n)
                 theta = good_angle(float(good.sum()))
                 if theta < 1e-12:
                     continue  # nothing to amplify; first_algorithm samples uniformly

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_state, random_unitary
+from conftest import basis_state, random_state, random_unitary
 
 from aeqslearn import (Eigensystem, HermitianOperator, StateVector,
-                       UnitaryOperator, basis_state, dis, epsilon_close,
-                       hermitian_eigensystem, phase_distance, sample_basis,
-                       spectral_gap, subspace_probability, tensor)
+                       UnitaryOperator, epsilon_close, good_angle,
+                       hermitian_eigensystem, phase_distance, sample_amplified,
+                       spectral_gap, subspace_probability)
 from aeqslearn.errors import (DimMismatch, IndexOutOfRange, NonHermitian,
                               NonUnitary)
 
@@ -40,32 +40,6 @@ class TestTypes:
     def test_eigensystem_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Eigensystem([0.0, 1.0], [basis_state(2, 0), basis_state(2, 0)])
-
-
-class TestTensor:
-    def test_identity_times_identity(self):
-        i2 = UnitaryOperator(np.eye(2))
-        assert np.allclose(tensor(i2, i2).entries, np.eye(4))
-
-    def test_hadamard_squared_entries(self):
-        # expanding the 4x4 product by hand: all entries +-1/2 with sign
-        # pattern given by the parity of the two index bit products
-        expected = 0.5 * np.array([
-            [1, 1, 1, 1],
-            [1, -1, 1, -1],
-            [1, 1, -1, -1],
-            [1, -1, -1, 1],
-        ])
-        got = tensor(UnitaryOperator(WH), UnitaryOperator(WH))
-        assert np.allclose(got.entries, expected, atol=1e-12)
-
-    def test_big_endian_basis_convention(self):
-        out = tensor(basis_state(2, 1), basis_state(2, 0))
-        assert epsilon_close(out, basis_state(4, 2), 1e-9)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            tensor(UnitaryOperator(np.eye(2)), basis_state(2, 0))
 
 
 class TestEigensystem:
@@ -128,46 +102,49 @@ class TestSubspaceProbability:
             subspace_probability(basis_state(4, 0), {4})
 
 
+def basis_sampler(s: StateVector):
+    """Computational-basis measurement of ``s``, drawn by ``sample_amplified``.
+
+    With every probability taken as good weight and no Grover iteration, the
+    amplified marginal is the state's own distribution.
+    """
+    good = s.probabilities()
+    bad, theta = np.zeros(s.dim), good_angle(float(good.sum()))
+    return lambda rng: sample_amplified(good, bad, theta, 0, rng)
+
+
 class TestSampleBasis:
     def test_deterministic_on_basis_state(self):
         rng = np.random.default_rng(0)
-        assert all(sample_basis(basis_state(8, 3), rng) == 3 for _ in range(50))
+        draw = basis_sampler(basis_state(8, 3))
+        assert all(draw(rng) == 3 for _ in range(50))
 
     def test_hadamard_frequencies(self):
         rng = np.random.default_rng(42)
-        hits = sum(sample_basis(WH_KET0, rng) == 0 for _ in range(10_000))
+        draw = basis_sampler(WH_KET0)
+        hits = sum(draw(rng) == 0 for _ in range(10_000))
         assert 0.47 <= hits / 10_000 <= 0.53
 
     def test_zero_probability_never_sampled(self):
-        s = StateVector([1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), 0.0])
+        draw = basis_sampler(StateVector([1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), 0.0]))
         rng = np.random.default_rng(7)
-        assert all(sample_basis(s, rng) in (0, 2) for _ in range(500))
+        assert all(draw(rng) in (0, 2) for _ in range(500))
 
     def test_empirical_distribution_total_variation(self):
         rng = np.random.default_rng(123)
         for dim in (2, 5, 16):
             ambient = StateVector(random_state(rng, dim))
-            draws = np.array([sample_basis(ambient, rng) for _ in range(100_000)])
+            draw = basis_sampler(ambient)
+            draws = np.array([draw(rng) for _ in range(100_000)])
             freq = np.bincount(draws, minlength=dim) / draws.size
             tv = 0.5 * np.sum(np.abs(freq - ambient.probabilities()))
             assert tv <= 0.02
 
 
 class TestCloseness:
-    def test_dis_of_equal_states(self):
-        rng = np.random.default_rng(3)
-        s = StateVector(random_state(rng, 4))
-        assert dis(s, s) == pytest.approx(1.0)
-
-    def test_dis_of_orthogonal_states(self):
-        assert dis(basis_state(4, 0), basis_state(4, 3)) == 0.0
-
-    def test_dis_hadamard(self):
-        assert dis(basis_state(2, 0), WH_KET0) == pytest.approx(1 / math.sqrt(2))
-
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            dis(basis_state(2, 0), basis_state(4, 0))
+            phase_distance(basis_state(2, 0), basis_state(4, 0))
 
     def test_epsilon_close_reflexive(self):
         s = basis_state(2, 0)

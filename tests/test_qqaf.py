@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import QUARTER_TURN, WH_PARAMS, gate_design, make_machine
+from conftest import (QUARTER_TURN, WH_PARAMS, basis_state, gate_design,
+                      make_machine)
+from dense_reference import acceptance_probability, agreement_count, agrees
 
 from aeqslearn import (AeqsInstance, AgreementParams, GateParams, Machine,
                        MachineEncoding, MachinePool, RelationTable, Verdict,
-                       accepts, acceptance_probability, agreement_count,
-                       agreement_vector, agrees, all_inputs, basis_state,
-                       bits_to_index, e_operator, epsilon_close,
-                       hermitian_eigensystem, index_to_bits, run,
-                       sample_encoding, symbol_unitary)
+                       accepts, all_inputs, bits_to_index, e_operator,
+                       epsilon_close, hermitian_eigensystem, index_to_bits,
+                       run, sample_encoding, symbol_unitary)
 from aeqslearn import qqaf
 from aeqslearn.errors import BadSymbol, LengthMismatch
 
@@ -224,12 +224,12 @@ def test_exact_one_reached_up_to_rounding_meets_eta_one():
     eta = AgreementParams(1.0)
     assert 1.0 - qqaf.VERDICT_TOL < acceptance_probability(mach, "0") < 1.0
     assert agrees(mach, "0", rel, eta)
-    assert MachinePool((mach.encoding,)).agreement_table(rel, eta).all()
+    assert MachinePool((mach.encoding,)).agreement_counts(rel, eta).tolist() == [2]
     assert accepts(AeqsInstance(mach, eta), "0") is Verdict.ACCEPT
 
 
 def random_pools(count):
-    """Pools drawn as the table must handle them.
+    """Pools drawn as the agreement walk must handle them.
 
     Qubit counts are mixed within a pool, grids vary per pool, and about a
     third of the encodings come with a twin holding the complementary
@@ -260,9 +260,9 @@ def test_agreement_table_matches_per_input_reference(monkeypatch, live):
     for pool, rel in random_pools(40):
         for eta in (0.75, 0.9, 1.0):
             params = AgreementParams(eta)
-            table = pool.agreement_table(rel, params)
-            reference = np.stack([agreement_vector(m, rel, params) for m in pool.machines])
-            assert not table.flags.writeable
-            assert np.array_equal(table, reference), (eta, rel)
-            verdicts += table.size
+            counts = pool.agreement_counts(rel, params)
+            reference = [agreement_count(m, rel, params) for m in pool.machines]
+            assert not counts.flags.writeable
+            assert counts.tolist() == reference, (eta, rel)
+            verdicts += pool.s << rel.n
     assert verdicts > 10_000

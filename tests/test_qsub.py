@@ -11,6 +11,7 @@ from aeqslearn import (QueryCounter, amplified_good_probability,
                        phase_distribution, prepared_weights, sample_amplified,
                        sample_estimation)
 from aeqslearn.errors import BadResolution
+from aeqslearn.qsub import check_resolution
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -141,6 +142,12 @@ class TestAmplitudeEstimation:
     def test_resolution_must_be_power_of_two(self):
         with pytest.raises(BadResolution):
             estimation_cdf(good_angle(0.5), 12)
+
+    def test_resolution_is_bounded_before_allocation(self):
+        check_resolution(1 << 18)
+        for k in (1 << 19, 1 << 40):
+            with pytest.raises(BadResolution, match=f"k={k} is more than"):
+                check_resolution(k)
 
     def test_charges_k_minus_one_calls(self):
         counter = QueryCounter()

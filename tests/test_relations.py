@@ -78,3 +78,12 @@ class TestRelationFiles:
 
     def test_empty_relation_file(self):
         assert parse_relation_text("n=2\n").size == 0
+
+    def test_length_is_bounded_before_allocation(self):
+        # 2^18 membership bits are the walk's bound; n = 19 and beyond are refused
+        assert parse_relation_text("n=18\n").n == 18
+        for n in (19, 40):
+            with pytest.raises(ValueError, match=f"n={n} gives"):
+                parse_relation_text(f"n={n}\n")
+            with pytest.raises(ValueError, match=f"n={n} gives"):
+                parse_relation("balanced", n)
