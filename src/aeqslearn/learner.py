@@ -184,10 +184,15 @@ def enumerate_pool(cfg: PoolConfig) -> MachinePool:
     then the order of the serialized encodings: all texts share the m line
     and hold ``l_designs`` lines per symbol, so they compare as their
     (sacc line, L lines, 0 lines, 1 lines, R lines) tuples (see ``gates``).
+    A pool of more than ``hard_cap`` or MAX_LIVE_AMPLITUDES encodings raises
+    PoolTooLarge from its closed-form size, before anything is built.
     """
     size = pool_size(cfg)
     if size > cfg.hard_cap:
         raise PoolTooLarge(f"pool would hold {size} encodings, cap is {cfg.hard_cap}")
+    if size > MAX_LIVE_AMPLITUDES:
+        raise PoolTooLarge(f"pool would hold {size} encodings, more than the "
+                           f"{MAX_LIVE_AMPLITUDES} a pool may hold")
     # duplicates can only come from accepting-set choices that coincide once normalized
     accepting = sorted({tuple(sorted(set(int(i) for i in s_acc)))
                         for s_acc in cfg.s_acc_choices}, key=sacc_line)

@@ -14,13 +14,18 @@ optional QueryCounter.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import BadResolution
 from .qqaf import MAX_LIVE_AMPLITUDES
+
+# Rounds of find_maximum served by one generator call, two uniforms per round.
+ROUND_BLOCK = 64
 
 
 class QueryCounter:
@@ -141,13 +146,20 @@ def estimation_outcomes(cdf: np.ndarray, uniforms: np.ndarray
     """
     k = cdf.shape[0]
     z = np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), k - 1)
-    theta_tilde = math.pi * z / k
-    # zeta~ on Python floats, one evaluation per distinct z: numpy's square of a
-    # float64 can differ from Python's x ** 2 in the last bit, and records must not
-    # depend on which path drew the outcome
-    values, inverse = np.unique(z, return_inverse=True)
-    zeta_tilde = np.array([math.sin(math.pi * int(v) / k) ** 2 for v in values])[inverse]
-    return z, theta_tilde, zeta_tilde
+    return z, math.pi * z / k, _zeta_table(k)[z]
+
+
+@lru_cache(maxsize=MAX_LIVE_AMPLITUDES.bit_length())  # every power-of-two k in range
+def _zeta_table(k: int) -> np.ndarray:
+    """sin^2(pi z / k) for every z in [0, k), read-only.
+
+    Evaluated on Python floats: numpy's square of a float64 can differ from
+    Python's x ** 2 in the last bit, and records must not depend on which
+    path drew the outcome.
+    """
+    table = np.array([math.sin(math.pi * z / k) ** 2 for z in range(k)])
+    table.setflags(write=False)
+    return table
 
 
 def sample_estimation(cdf: np.ndarray, rng: np.random.Generator,
@@ -164,26 +176,59 @@ def sample_estimation(cdf: np.ndarray, rng: np.random.Generator,
                             zeta_tilde=float(zeta_tilde[0]), k=k)
 
 
+class _ArrayMemo:
+    """Least-recently-used read-only arrays, at most ``limit`` floats in total."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries: OrderedDict = OrderedDict()
+        self.floats = 0
+
+    def get(self, key, build) -> np.ndarray:
+        arr = self.entries.get(key)
+        if arr is not None:
+            self.entries.move_to_end(key)
+            return arr
+        arr = build()
+        arr.setflags(write=False)
+        self.entries[key] = arr
+        self.floats += arr.size
+        while self.floats > self.limit:
+            _, old = self.entries.popitem(last=False)
+            self.floats -= old.size
+        return arr
+
+
+COUNTING_LAWS = _ArrayMemo(MAX_LIVE_AMPLITUDES)
+
+
 def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
     """Cumulative estimation distribution for counting ``count`` marked strings of 2^n.
 
     Under the uniform preparation the good-amplitude angle is
-    asin(sqrt(count / 2^n)), so no state needs to be built.
+    asin(sqrt(count / 2^n)), so no state needs to be built.  The array is
+    read-only and memoized on (count, n, k) in ``COUNTING_LAWS``.
     """
-    return estimation_cdf(good_angle(count / (1 << n)), k)
+    return COUNTING_LAWS.get((count, n, k),
+                             lambda: estimation_cdf(good_angle(count / (1 << n)), k))
 
 
 def find_maximum(values, rng: np.random.Generator,
                  counter: Optional[QueryCounter] = None, c: float = 15.0) -> int:
     """Threshold-climbing maximum search over an indexed value oracle.
 
-    Repeatedly runs an exponential-schedule Grover search for an index whose
+    Durr-Hoyer threshold search on the BBHT exponential schedule: from a
+    uniformly drawn start, repeatedly run a Grover search for an index whose
     value beats the current threshold, raising the threshold on success,
-    until a budget of c * sqrt(N) total Grover iterations is spent.  The
-    measurement after j iterations is simulated exactly: a good index is
-    observed with probability sin^2((2j+1) theta_t) and outcomes are uniform
-    within the good and bad sets.  Every iteration and every verification of
-    a measured index costs one oracle call.
+    until a budget of ceil(c sqrt(N)) total Grover iterations is spent.  The
+    schedule bound m grows by 6/5 per failed round, capped at sqrt(N), and
+    resets to 1 on success.  A round takes two uniforms (u_iter, u_meas)
+    from blocks of ``ROUND_BLOCK`` pairs drawn at once: j = floor(u_iter
+    ceil(m)) iterations, after which a good index is observed iff
+    u_meas < sin^2((2j+1) theta_t); one ``rng.integers`` then picks the
+    observed good index uniformly, and a bad outcome draws nothing, as it
+    leaves the threshold unchanged.  Every iteration and every verification
+    of a measured index costs one oracle call, charged once at the end.
     """
     vals = np.asarray(values)
     n_items = int(vals.shape[0])
@@ -192,35 +237,32 @@ def find_maximum(values, rng: np.random.Generator,
     best = int(rng.integers(n_items))
     if n_items == 1:
         return best
-    if counter is not None:
-        counter.charge(1)
     budget = math.ceil(c * math.sqrt(n_items))
     schedule_cap = math.sqrt(n_items)
     used = 0
     m = 1.0
     rounds = 0
     max_rounds = 1000 + 40 * budget  # safety net; never binding in practice
-    # the good and bad sets depend only on the threshold vals[best], which
-    # changes only when a good item is drawn; None marks them stale
+    block: list = []
+    # the good set depends only on the threshold vals[best], which changes only
+    # when a good item is drawn; None marks it stale
     good_idx = None
     while used < budget and rounds < max_rounds:
+        if rounds % ROUND_BLOCK == 0:
+            block = rng.random((ROUND_BLOCK, 2)).tolist()
+        u_iter, u_meas = block[rounds % ROUND_BLOCK]
         rounds += 1
-        j = int(rng.integers(0, max(1, math.ceil(m))))
+        j = int(u_iter * math.ceil(m))
         if good_idx is None:
-            good_mask = vals > vals[best]
-            good_idx, bad_idx = np.flatnonzero(good_mask), np.flatnonzero(~good_mask)
+            good_idx = np.flatnonzero(vals > vals[best])
             theta = good_angle(good_idx.shape[0] / n_items)
         used += j
-        if counter is not None:
-            counter.charge(j + 1)
-        pick_good = (good_idx.shape[0] > 0
-                     and rng.random() < amplified_good_probability(theta, j))
-        pool = good_idx if pick_good else bad_idx
-        outcome = int(pool[rng.integers(pool.shape[0])])
-        if pick_good:  # every good item beats the threshold
-            best = outcome
+        if good_idx.shape[0] > 0 and u_meas < amplified_good_probability(theta, j):
+            best = int(good_idx[rng.integers(good_idx.shape[0])])
             m = 1.0
             good_idx = None
         else:
             m = min(m * 1.2, schedule_cap)
+    if counter is not None:
+        counter.charge(1 + used + rounds)
     return best

@@ -6,6 +6,8 @@ rewrites ``tests/golden/cli.json`` and ``tests/golden/library.jsonl`` from
 the checked-out code.  ``test_golden.py`` recomputes both and compares them
 exactly, so a change that alters any seeded record shows in the diff of
 these files; such a change regenerates them and names the changed fields.
+The records depend on numpy's generator streams and FFT rounding: they are
+generated with numpy 2.4.6, the version CI installs.
 
 - ``cli.json``: the run record, minus ``wall_time_ms``, of the README
   configuration at seed 0 for each algorithm, of the three criterion-9

@@ -6,6 +6,7 @@ from golden import POOL_4096
 
 from aeqslearn import RunConfig, execute, gates, qqaf
 from aeqslearn import cli as cli_module
+from aeqslearn import learner
 
 SMALL = ["--m", "1", "--grid", "1", "--ltuples", "1", "--ldesigns", "1",
          "--k", "256", "--reps", "3"]
@@ -59,6 +60,21 @@ class TestRunCommand:
                                 "--ldesigns", "0", "--sacc", "0", "--algorithm", "brute"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: m=30 qubits")
+
+    def test_pool_size_is_bounded_before_allocation_whatever_the_cap(self, monkeypatch,
+                                                                     capsys):
+        # in-process: grid 2 with one gate per design is a pool of 2 * 128^4 encodings,
+        # over MAX_LIVE_AMPLITUDES though under a 2^40 cap; a design list built at all
+        # fails the test at once
+        def refuse(cfg):
+            raise AssertionError("a design list was built")
+
+        monkeypatch.setattr(learner, "_all_design_tuples", refuse)
+        assert cli_module.main(["run", "--relation", "balanced", "--n", "2", "--grid", "2",
+                                "--ltuples", "1", "--cap", str(2**40),
+                                "--algorithm", "brute"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: pool would hold 536870912 encodings")
 
     @pytest.mark.parametrize("argv, message", [
         (["--relation", "balanced", "--n", "40"], "error: n=40 gives 2^n inputs"),

@@ -11,7 +11,8 @@ from aeqslearn import (QueryCounter, amplified_good_probability,
                        phase_distribution, prepared_weights, sample_amplified,
                        sample_estimation)
 from aeqslearn.errors import BadResolution
-from aeqslearn.qsub import check_resolution
+from aeqslearn.qqaf import MAX_LIVE_AMPLITUDES
+from aeqslearn.qsub import COUNTING_LAWS, ROUND_BLOCK, check_resolution
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -240,6 +241,43 @@ class TestQuantumCount:
                 one = sample_estimation(cdf, rng)
                 assert (one.z, one.theta_tilde, one.zeta_tilde) == (z[i], theta[i], zeta[i])
 
+    def test_counting_law_is_memoized_and_read_only(self):
+        for c, n, k in ((0, 3, 64), (5, 3, 1024), (5, 4, 1024), (9, 4, 256),
+                        (16, 4, 1)):
+            cdf = counting_cdf(c, n, k)
+            assert np.array_equal(cdf, estimation_cdf(good_angle(c / (1 << n)), k))
+            assert counting_cdf(c, n, k) is cdf
+            assert not cdf.flags.writeable
+            with pytest.raises(ValueError):
+                cdf[0] = 0.5
+
+    def test_counting_memo_drops_the_least_recently_used_beyond_its_floats(self):
+        a, b, c = ((count, 4, 1 << 16) for count in (1, 2, 3))
+        for key in (a, b, c):
+            counting_cdf(*key)
+        counting_cdf(*a)  # a hit: b is now the least recently used
+        # 3 * 2^16 + 2^17 floats exceed the bound by 2^16: whatever older entries
+        # were held go first, then b alone
+        d = (1, 4, 1 << 17)
+        counting_cdf(*d)
+        assert list(COUNTING_LAWS.entries) == [c, a, d]
+        assert COUNTING_LAWS.floats == MAX_LIVE_AMPLITUDES
+        # a 2^18-outcome law fills the bound alone
+        large = counting_cdf(5, 4, 1 << 18)
+        assert list(COUNTING_LAWS.entries) == [(5, 4, 1 << 18)]
+        assert COUNTING_LAWS.floats == large.size == MAX_LIVE_AMPLITUDES
+        counting_cdf(*a)
+        assert list(COUNTING_LAWS.entries) == [a]
+        assert COUNTING_LAWS.floats == 1 << 16
+
+    def test_zeta_is_the_python_float_square_for_every_outcome(self):
+        for k in (1, 2, 1024):
+            # a uniform law and one uniform inside each outcome's step
+            cdf = np.arange(1, k + 1) / k
+            z, _, zeta = estimation_outcomes(cdf, (np.arange(k) + 0.5) / k)
+            assert z.tolist() == list(range(k))
+            assert zeta.tolist() == [math.sin(math.pi * i / k) ** 2 for i in range(k)]
+
     def test_single_marked_error_bound(self):
         # counting one item out of four at k = 1024: the standard error bound
         # 2 pi sqrt(c N)/k + pi^2 N / k^2 should hold on a healthy fraction
@@ -252,7 +290,44 @@ class TestQuantumCount:
 
 
 def find_maximum_reference(values, rng, counter=None, c=15.0):
-    """The threshold search recomputing its good set over all N items each round."""
+    """The threshold search on find_maximum's blocks of uniforms, recomputing
+    its good set over all N items each round."""
+    vals = np.asarray(values)
+    n_items = int(vals.shape[0])
+    best = int(rng.integers(n_items))
+    if n_items == 1:
+        return best
+    if counter is not None:
+        counter.charge(1)
+    budget = math.ceil(c * math.sqrt(n_items))
+    schedule_cap = math.sqrt(n_items)
+    used = 0
+    m = 1.0
+    rounds = 0
+    max_rounds = 1000 + 40 * budget
+    pairs = []
+    while used < budget and rounds < max_rounds:
+        if not pairs:
+            pairs = [tuple(row) for row in rng.random((ROUND_BLOCK, 2))]
+        u_iter, u_meas = pairs.pop(0)
+        rounds += 1
+        j = math.floor(u_iter * math.ceil(m))
+        good = np.flatnonzero(vals > vals[best])
+        theta = math.asin(math.sqrt(good.shape[0] / n_items))
+        used += j
+        if counter is not None:
+            counter.charge(j + 1)
+        if good.shape[0] > 0 and u_meas < math.sin((2 * j + 1) * theta) ** 2:
+            best = int(good[rng.integers(good.shape[0])])
+            m = 1.0
+        else:
+            m = min(m * 1.2, schedule_cap)
+    return best
+
+
+def find_maximum_per_round(values, rng, counter=None, c=15.0):
+    """The threshold search drawing each round's randomness with scalar generator
+    calls, a bad outcome included: the law find_maximum's blocks must keep."""
     vals = np.asarray(values)
     n_items = int(vals.shape[0])
     best = int(rng.integers(n_items))
@@ -355,6 +430,45 @@ class TestFindMaximum:
                         == find_maximum_reference(values, ref_rng, ref_counter))
                 assert counter.oracle_calls == ref_counter.oracle_calls
                 assert rng.random() == ref_rng.random()  # same draws consumed
+
+    @pytest.mark.parametrize("case", ["permuted-64-c1", "levels-512-c1"])
+    def test_block_law_matches_per_round_loop(self, case):
+        # cases where the search often stops short of the maximum: a permutation
+        # of 0..63 on a budget of ceil(sqrt(64)) = 8 iterations, and 512 items on
+        # nine levels holding 257, 128, ..., 2, 1 of them at c = 1; the blocked
+        # draws and the per-round scalar draws run on independent seeds
+        if case == "permuted-64-c1":
+            vals = np.random.default_rng(5).permutation(64)
+        else:
+            vals = np.random.default_rng(7).permutation(
+                np.repeat(np.arange(9), [257, 128, 64, 32, 16, 8, 4, 2, 1]))
+        runs = 800
+        found, queries = {}, {}
+        for name, search, seed in (("block", find_maximum, 1),
+                                   ("per-round", find_maximum_per_round, 2)):
+            rng = np.random.default_rng([seed, vals.shape[0]])
+            found[name], queries[name] = [], []
+            for _ in range(runs):
+                counter = QueryCounter()
+                found[name].append(vals[search(vals, rng, counter, c=1.0)])
+                queries[name].append(counter.oracle_calls)
+        levels = np.unique(np.concatenate([found["block"], found["per-round"]]))
+        freq = {name: np.array([np.mean(np.equal(f, v)) for v in levels])
+                for name, f in found.items()}
+        tv = 0.5 * np.abs(freq["block"] - freq["per-round"]).sum()
+        # half the sum over levels of 4 standard errors of a difference of two
+        # frequencies, each from `runs` draws, at the pooled frequency
+        pooled = (freq["block"] + freq["per-round"]) / 2
+        tv_bound = 2 * np.sqrt(2 * pooled * (1 - pooled) / runs).sum()
+        q_block, q_ref = np.array(queries["block"]), np.array(queries["per-round"])
+        q_gap = abs(q_block.mean() - q_ref.mean())
+        q_bound = 4 * math.sqrt((q_block.var() + q_ref.var()) / runs)
+        report = (f"TV {tv:.4f} (bound {tv_bound:.4f}), mean queries "
+                  f"{q_block.mean():.2f} vs {q_ref.mean():.2f}: gap {q_gap:.2f} "
+                  f"(bound {q_bound:.2f}), maximum missed in {1 - freq['block'][-1]:.3f}")
+        assert freq["block"][-1] < 0.9 and freq["per-round"][-1] < 0.9, report
+        assert tv <= tv_bound, report
+        assert q_gap <= q_bound, report
 
     def test_constant_array(self):
         vals = np.full(32, 7)
