@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .errors import AeqsError
@@ -60,15 +60,6 @@ class RunConfig:
                           l_designs=self.ldesigns, s_acc_choices=self.sacc,
                           hard_cap=self.cap)
 
-    def echo(self) -> dict:
-        return {
-            "relation": self.relation, "n": self.n, "eta": self.eta,
-            "algorithm": self.algorithm, "m": self.m, "grid": self.grid,
-            "ltuples": self.ltuples, "ldesigns": self.ldesigns,
-            "sacc": [list(c) for c in self.sacc], "cap": self.cap,
-            "k": self.k, "seed": self.seed, "reps": self.reps,
-        }
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -90,20 +81,8 @@ class RunRecord:
             raise ValueError("verified agreement exceeds the brute-force optimum")
 
     def to_json(self) -> str:
-        payload = {
-            "artifact_version": __version__,
-            "config": self.config.echo(),
-            "pool_size": self.pool_size,
-            "chosen_encoding": self.chosen_encoding,
-            "estimated_agreement": self.estimated_agreement,
-            "true_agreement": self.true_agreement,
-            "brute_force_count": self.brute_force_count,
-            "oracle_queries": self.oracle_queries,
-            "repetitions": self.repetitions,
-            "success": self.success,
-            "wall_time_ms": self.wall_time_ms,
-        }
-        return json.dumps(payload, indent=2)
+        """The record's fields, and the config's, in declaration order."""
+        return json.dumps({"artifact_version": __version__, **asdict(self)}, indent=2)
 
 
 def execute(cfg: RunConfig, trace: Trace = None) -> RunRecord:
@@ -144,30 +123,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn relations over pools of gate-design quantum machines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="run one learning configuration")
+    # an option left unset takes its RunConfig default
+    runp = sub.add_parser("run", help="run one learning configuration",
+                          argument_default=argparse.SUPPRESS)
     runp.add_argument("--relation", required=True,
                       help="builtin relation name or relation file path")
     runp.add_argument("--n", type=int, required=True, help="input length (>= 1)")
-    runp.add_argument("--eta", type=float, default=0.9,
-                      help="agreement threshold in (1/2, 1]")
-    runp.add_argument("--algorithm", choices=ALGORITHMS, default="second")
-    runp.add_argument("--m", type=int, default=2, help="machine qubit count")
-    runp.add_argument("--grid", type=int, default=1, metavar="D",
-                      help="angle grid resolution")
-    runp.add_argument("--ltuples", type=int, default=0,
-                      help="single-qubit gates per design")
-    runp.add_argument("--ldesigns", type=int, default=1,
-                      help="designs per symbol")
+    runp.add_argument("--eta", type=float, help="agreement threshold in (1/2, 1]")
+    runp.add_argument("--algorithm", choices=ALGORITHMS)
+    runp.add_argument("--m", type=int, help="machine qubit count")
+    runp.add_argument("--grid", type=int, metavar="D", help="angle grid resolution")
+    runp.add_argument("--ltuples", type=int, help="single-qubit gates per design")
+    runp.add_argument("--ldesigns", type=int, help="designs per symbol")
     runp.add_argument("--sacc", action="append", metavar="IDX[,IDX...]",
                       help="accepting-set choice, repeatable (default: 0 and 1)")
-    runp.add_argument("--cap", type=int, default=4096,
-                      help="hard cap on the pool size")
-    runp.add_argument("--k", type=int, default=1024,
-                      help="Fourier resolution for estimation/counting")
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--reps", type=int, default=5)
-    runp.add_argument("--out", metavar="PATH", help="also write the record here")
-    runp.add_argument("--trace", action="store_true",
+    runp.add_argument("--cap", type=int, help="hard cap on the pool size")
+    runp.add_argument("--k", type=int, help="Fourier resolution for estimation/counting")
+    runp.add_argument("--seed", type=int)
+    runp.add_argument("--reps", type=int)
+    runp.add_argument("--out", default=None, metavar="PATH",
+                      help="also write the record here")
+    runp.add_argument("--trace", action="store_true", default=False,
                       help="per-step norms and query tallies on stderr")
     runp.set_defaults(handler=cmd_run)
 
@@ -177,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_sacc(raw: list[str] | None) -> tuple[tuple[int, ...], ...]:
-    if not raw:
-        return ((0,), (1,))
+def _parse_sacc(raw: list[str]) -> tuple[tuple[int, ...], ...]:
     choices = []
     for chunk in raw:
         chunk = chunk.strip()
@@ -190,11 +164,11 @@ def _parse_sacc(raw: list[str] | None) -> tuple[tuple[int, ...], ...]:
 def cmd_run(args) -> int:
     trace = (lambda msg: print(f"trace: {msg}", file=sys.stderr)) if args.trace else None
     try:
-        cfg = RunConfig(relation=args.relation, n=args.n, eta=args.eta,
-                        algorithm=args.algorithm, m=args.m, grid=args.grid,
-                        ltuples=args.ltuples, ldesigns=args.ldesigns,
-                        sacc=_parse_sacc(args.sacc), cap=args.cap, k=args.k,
-                        seed=args.seed, reps=args.reps)
+        given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if hasattr(args, f.name)}
+        if "sacc" in given:
+            given["sacc"] = _parse_sacc(given["sacc"])
+        cfg = RunConfig(**given)
         record = execute(cfg, trace)
         text = record.to_json()
         if args.out:  # written first, so a bad path fails before anything is printed

@@ -205,17 +205,16 @@ def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarr
     amplitudes or acceptance probabilities.  An (accepting sets, 2^m) 0/1
     mask then turns each run's final probabilities into the acceptance
     probability of every accepting set at once, and each chunk of inputs
-    adds its verdicts to the counts; no (s, 2^n) table is held.
+    adds its verdicts to a count per (design set, accepting set) pair, which
+    each machine reads once at the end; no (s, 2^n) table is held.
     """
     n = rel.n
     counts = np.zeros(rows.shape[0], dtype=int)
     qubits = np.array([m for m, _ in design_sets], dtype=np.intp)
     for m in sorted(set(qubits.tolist())):
         sets = np.flatnonzero(qubits == m)
-        local = np.full(len(design_sets), -1, dtype=np.intp)
-        local[sets] = np.arange(sets.size)
-        members = np.flatnonzero(local[rows[:, 1]] >= 0)
-        used, acc_of = np.unique(rows[members, 0], return_inverse=True)
+        mine = np.flatnonzero(qubits[rows[:, 1]] == m)
+        used, acc_of = np.unique(rows[mine, 0], return_inverse=True)
         dim = 1 << m
         mask = np.zeros((used.size, dim))
         for j, a in enumerate(used.tolist()):
@@ -225,23 +224,21 @@ def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarr
                  for i, sym in enumerate(SYMBOLS)}
         depth = min(n, max(0, (MAX_LIVE_AMPLITUDES // dim).bit_length() - 1))
         per_block = max(1, MAX_LIVE_AMPLITUDES // (max(dim, used.size) << depth))
-        set_of = local[rows[members, 1]]
+        agree = np.zeros((sets.size, used.size), dtype=int)
         for lo in range(0, sets.size, per_block):
-            inside = (set_of >= lo) & (set_of < lo + per_block)
             block = {sym: stack[lo:lo + per_block] for sym, stack in right.items()}
-            _fill_block(counts, block, mask, members[inside], set_of[inside] - lo,
-                        acc_of[inside], rel, params, depth)
+            _fill_block(agree[lo:lo + per_block], block, mask, rel, params, depth)
+        counts[mine] = agree[np.searchsorted(sets, rows[mine, 1]), acc_of]
     counts.setflags(write=False)
     return counts
 
 
-def _fill_block(counts: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarray,
-                rows: np.ndarray, set_of: np.ndarray, acc_of: np.ndarray,
+def _fill_block(agree: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarray,
                 rel: RelationTable, params: AgreementParams, depth: int) -> None:
     """Add up the verdicts of one block of design sets, 2^depth inputs at a time.
 
-    Machine ``rows[i]`` runs the stacked design set ``set_of[i]`` and
-    accepts on mask row ``acc_of[i]``.  Each chunk of inputs shares its
+    ``agree[g, a]`` counts the inputs on which stacked design set g, accepting
+    on mask row a, agrees with the relation.  Each chunk of inputs shares its
     first n - depth bits; the states after that common prefix are computed
     once per design set and then expanded breadth-first over the last
     ``depth`` bits.
@@ -260,7 +257,7 @@ def _fill_block(counts: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarr
         defect = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
         if defect > NORM_TOL:
             raise ValueError(f"run state is not unit norm: max |sum |a|^2 - 1| = {defect!r}")
-        p_acc = np.einsum("gpd,ad->gpa", probs, mask)[set_of, :, acc_of]
-        side = np.where(rel.members[top * width:(top + 1) * width], p_acc, 1.0 - p_acc)
-        # the rows of a block are distinct, so this indexed add loses no update
-        counts[rows] += meets_threshold(side, params.eta).sum(axis=1)
+        p_acc = np.einsum("gpd,ad->gpa", probs, mask)
+        inside = rel.members[top * width:(top + 1) * width, None]
+        side = np.where(inside, p_acc, 1.0 - p_acc)
+        agree += meets_threshold(side, params.eta).sum(axis=1)

@@ -131,10 +131,39 @@ def phase_distribution(theta: float, k: int) -> np.ndarray:
     return dist
 
 
+class _ArrayMemo:
+    """Least-recently-used read-only arrays, at most ``limit`` floats in total."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries: OrderedDict = OrderedDict()
+        self.floats = 0
+
+    def get(self, key, build) -> np.ndarray:
+        arr = self.entries.get(key)
+        if arr is not None:
+            self.entries.move_to_end(key)
+            return arr
+        arr = build()
+        arr.setflags(write=False)
+        self.entries[key] = arr
+        self.floats += arr.size
+        while self.floats > self.limit:
+            _, old = self.entries.popitem(last=False)
+            self.floats -= old.size
+        return arr
+
+
+ESTIMATION_LAWS = _ArrayMemo(MAX_LIVE_AMPLITUDES)
+
+
 def estimation_cdf(theta: float, k: int) -> np.ndarray:
-    """Cumulative estimation distribution over z in [0, k) for the angle theta."""
+    """Cumulative estimation distribution over z in [0, k) for the angle theta.
+
+    The array is read-only and memoized on (theta, k) in ``ESTIMATION_LAWS``.
+    """
     check_resolution(k)
-    return np.cumsum(phase_distribution(theta, k))
+    return ESTIMATION_LAWS.get((theta, k), lambda: np.cumsum(phase_distribution(theta, k)))
 
 
 def estimation_outcomes(cdf: np.ndarray, uniforms: np.ndarray
@@ -176,41 +205,14 @@ def sample_estimation(cdf: np.ndarray, rng: np.random.Generator,
                             zeta_tilde=float(zeta_tilde[0]), k=k)
 
 
-class _ArrayMemo:
-    """Least-recently-used read-only arrays, at most ``limit`` floats in total."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.entries: OrderedDict = OrderedDict()
-        self.floats = 0
-
-    def get(self, key, build) -> np.ndarray:
-        arr = self.entries.get(key)
-        if arr is not None:
-            self.entries.move_to_end(key)
-            return arr
-        arr = build()
-        arr.setflags(write=False)
-        self.entries[key] = arr
-        self.floats += arr.size
-        while self.floats > self.limit:
-            _, old = self.entries.popitem(last=False)
-            self.floats -= old.size
-        return arr
-
-
-COUNTING_LAWS = _ArrayMemo(MAX_LIVE_AMPLITUDES)
-
-
 def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
     """Cumulative estimation distribution for counting ``count`` marked strings of 2^n.
 
     Under the uniform preparation the good-amplitude angle is
-    asin(sqrt(count / 2^n)), so no state needs to be built.  The array is
-    read-only and memoized on (count, n, k) in ``COUNTING_LAWS``.
+    asin(sqrt(count / 2^n)), so no state needs to be built; counts with the
+    same count / 2^n share one memoized law (see ``estimation_cdf``).
     """
-    return COUNTING_LAWS.get((count, n, k),
-                             lambda: estimation_cdf(good_angle(count / (1 << n)), k))
+    return estimation_cdf(good_angle(count / (1 << n)), k)
 
 
 def find_maximum(values, rng: np.random.Generator,

@@ -190,15 +190,26 @@ class TestExecute:
             RunConfig(relation="all", n=2, algorithm="third")
 
     def test_execute_matches_cli_record(self):
-        cfg = RunConfig(relation="balanced", n=3, seed=11, **SMALL_KW)
-        record = execute(cfg)
-        proc = run_cli("run", "--relation", "balanced", "--n", "3",
-                       "--seed", "11", *SMALL)
-        cli_record = record_of(proc)
-        cli_record.pop("wall_time_ms")
-        payload = json.loads(record.to_json())
-        payload.pop("wall_time_ms")
-        assert payload == cli_record
+        # the second run leaves every option but the required two at its default
+        for cfg, argv in ((RunConfig(relation="balanced", n=3, seed=11, **SMALL_KW),
+                           ("--relation", "balanced", "--n", "3", "--seed", "11", *SMALL)),
+                          (RunConfig(relation="all", n=2), ("--relation", "all", "--n", "2"))):
+            payload = json.loads(execute(cfg).to_json())
+            cli_record = record_of(run_cli("run", *argv))
+            payload.pop("wall_time_ms"), cli_record.pop("wall_time_ms")
+            assert payload == cli_record
+
+    def test_record_layout(self):
+        text = execute(RunConfig(relation="eq", n=2, algorithm="brute", **SMALL_KW)).to_json()
+        payload = json.loads(text)
+        assert list(payload) == [
+            "artifact_version", "config", "pool_size", "chosen_encoding",
+            "estimated_agreement", "true_agreement", "brute_force_count",
+            "oracle_queries", "repetitions", "success", "wall_time_ms"]
+        assert list(payload["config"]) == [
+            "relation", "n", "eta", "algorithm", "m", "grid", "ltuples",
+            "ldesigns", "sacc", "cap", "k", "seed", "reps"]
+        assert text == json.dumps(payload, indent=2)
 
     def test_pool4096_run_builds_no_machine_and_one_text(self, monkeypatch):
         built, texts = [], []

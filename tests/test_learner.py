@@ -16,9 +16,11 @@ from aeqslearn import (AgreementParams, DesignTuple, GateParams, MachineEncoding
                        good_angle, parse_relation, pool_size, prepared_weights,
                        sample_encoding, second_algorithm, serialize,
                        verify_condition_star)
+from aeqslearn import qsub
 from aeqslearn.errors import PoolTooLarge
 from aeqslearn.gates import design_lines
 from aeqslearn.learner import COUNTS_MEMO_SIZE, seeded_streams
+from aeqslearn.qqaf import MAX_LIVE_AMPLITUDES
 
 ETA = AgreementParams(0.9)
 
@@ -318,6 +320,21 @@ class TestFirstAlgorithm:
         a = first_algorithm(pool, rel, ETA, k=128, seed=7, reps=3)
         b = first_algorithm(pool, rel, ETA, k=128, seed=7, reps=3)
         assert a == b
+
+    def test_repeated_calls_compute_the_estimation_law_once(self, monkeypatch):
+        calls = []
+        law = qsub.phase_distribution
+
+        def counting_law(theta, k):
+            calls.append((theta, k))
+            return law(theta, k)
+
+        monkeypatch.setattr(qsub, "ESTIMATION_LAWS", qsub._ArrayMemo(MAX_LIVE_AMPLITUDES))
+        monkeypatch.setattr(qsub, "phase_distribution", counting_law)
+        pool, rel = identity_pool(), parse_relation("balanced", 3)
+        for seed in range(10):
+            first_algorithm(pool, rel, ETA, k=1024, seed=seed, reps=5)
+        assert len(calls) == 1
 
 
 class TestSecondAlgorithm:

@@ -12,7 +12,7 @@ from aeqslearn import (QueryCounter, amplified_good_probability,
                        sample_estimation)
 from aeqslearn.errors import BadResolution
 from aeqslearn.qqaf import MAX_LIVE_AMPLITUDES
-from aeqslearn.qsub import COUNTING_LAWS, ROUND_BLOCK, check_resolution
+from aeqslearn.qsub import ESTIMATION_LAWS, ROUND_BLOCK, check_resolution
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -244,31 +244,38 @@ class TestQuantumCount:
     def test_counting_law_is_memoized_and_read_only(self):
         for c, n, k in ((0, 3, 64), (5, 3, 1024), (5, 4, 1024), (9, 4, 256),
                         (16, 4, 1)):
+            theta = good_angle(c / (1 << n))
             cdf = counting_cdf(c, n, k)
-            assert np.array_equal(cdf, estimation_cdf(good_angle(c / (1 << n)), k))
+            assert np.array_equal(cdf, np.cumsum(phase_distribution(theta, k)))
+            assert ESTIMATION_LAWS.entries[theta, k] is cdf
             assert counting_cdf(c, n, k) is cdf
+            assert estimation_cdf(theta, k) is cdf
             assert not cdf.flags.writeable
             with pytest.raises(ValueError):
                 cdf[0] = 0.5
+        # one law per count / 2^n, whatever n
+        assert counting_cdf(10, 4, 1024) is counting_cdf(5, 3, 1024)
 
     def test_counting_memo_drops_the_least_recently_used_beyond_its_floats(self):
-        a, b, c = ((count, 4, 1 << 16) for count in (1, 2, 3))
-        for key in (a, b, c):
-            counting_cdf(*key)
-        counting_cdf(*a)  # a hit: b is now the least recently used
+        def key(count, k):
+            return good_angle(count / 16), k
+
+        a, b, c = (key(count, 1 << 16) for count in (1, 2, 3))
+        for count in (1, 2, 3):
+            counting_cdf(count, 4, 1 << 16)
+        estimation_cdf(*a)  # a hit: b is now the least recently used
         # 3 * 2^16 + 2^17 floats exceed the bound by 2^16: whatever older entries
         # were held go first, then b alone
-        d = (1, 4, 1 << 17)
-        counting_cdf(*d)
-        assert list(COUNTING_LAWS.entries) == [c, a, d]
-        assert COUNTING_LAWS.floats == MAX_LIVE_AMPLITUDES
+        counting_cdf(1, 4, 1 << 17)
+        assert list(ESTIMATION_LAWS.entries) == [c, a, key(1, 1 << 17)]
+        assert ESTIMATION_LAWS.floats == MAX_LIVE_AMPLITUDES
         # a 2^18-outcome law fills the bound alone
         large = counting_cdf(5, 4, 1 << 18)
-        assert list(COUNTING_LAWS.entries) == [(5, 4, 1 << 18)]
-        assert COUNTING_LAWS.floats == large.size == MAX_LIVE_AMPLITUDES
-        counting_cdf(*a)
-        assert list(COUNTING_LAWS.entries) == [a]
-        assert COUNTING_LAWS.floats == 1 << 16
+        assert list(ESTIMATION_LAWS.entries) == [key(5, 1 << 18)]
+        assert ESTIMATION_LAWS.floats == large.size == MAX_LIVE_AMPLITUDES
+        estimation_cdf(*a)
+        assert list(ESTIMATION_LAWS.entries) == [a]
+        assert ESTIMATION_LAWS.floats == 1 << 16
 
     def test_zeta_is_the_python_float_square_for_every_outcome(self):
         for k in (1, 2, 1024):
