@@ -141,6 +141,20 @@ class MachinePool:
     def machines(self) -> tuple[Machine, ...]:
         return tuple(Machine(e, self._unitaries) for e in self.encodings)
 
+    def _counts_entry(self, rel: RelationTable, params: AgreementParams) -> "_CountsEntry":
+        key = (rel.n, rel.members.tobytes(), params.eta)
+        entry = self._counts.get(key)
+        if entry is None:
+            entry = self._counts[key] = _CountsEntry(factored_agreement_counts(
+                [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
+                 for m, sds in self.design_sets],
+                self.accepting_sets, self.rows, rel, params))
+            if len(self._counts) > COUNTS_MEMO_SIZE:
+                self._counts.popitem(last=False)
+        else:
+            self._counts.move_to_end(key)
+        return entry
+
     def agreement_counts(self, rel: RelationTable, params: AgreementParams) -> np.ndarray:
         """Read-only agreement count of each machine, over all 2^n inputs.
 
@@ -148,18 +162,40 @@ class MachinePool:
         recently used.  Callers charge their own oracle queries; the memo only
         saves the classical simulation of repeated builds.
         """
-        key = (rel.n, rel.members.tobytes(), params.eta)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = self._counts[key] = factored_agreement_counts(
-                [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
-                 for m, sds in self.design_sets],
-                self.accepting_sets, self.rows, rel, params)
-            if len(self._counts) > COUNTS_MEMO_SIZE:
-                self._counts.popitem(last=False)
-        else:
-            self._counts.move_to_end(key)
-        return counts
+        return self._counts_entry(rel, params).counts
+
+    def count_groups(self, rel: RelationTable,
+                     params: AgreementParams) -> tuple[tuple[int, np.ndarray], ...]:
+        """The machines grouped by agreement count (see ``group_by_count``).
+
+        Built on first use and kept in the same memo entry as the counts, so
+        it is dropped with them.
+        """
+        return self._counts_entry(rel, params).groups
+
+
+class _CountsEntry:
+    """One entry of a pool's counts memo: the counts, and their grouping once built."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, np.ndarray], ...]:
+        return group_by_count(self.counts)
+
+
+def group_by_count(counts: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
+    """(count, read-only indices of the machines holding it) per distinct count, ascending.
+
+    One stable argsort, so each group's indices are in pool order.
+    """
+    order = np.argsort(counts, kind="stable")
+    order.setflags(write=False)
+    ordered = counts[order]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return tuple(zip(ordered[np.concatenate(([0], starts))].tolist(),
+                     np.split(order, starts)))
 
 
 def _all_design_tuples(cfg: PoolConfig) -> list[DesignTuple]:
@@ -307,13 +343,17 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
                      exact: bool = False, trace: Trace = None) -> LearnReport:
     """Pick the machine maximizing the agreement count with the relation.
 
-    Each round estimates every machine's agreement count by quantum counting,
-    drawing the s outcomes at once from the counting stream of
-    ``seeded_streams``, then runs the threshold maximum search over the
-    rounded table with the main generator; the candidate with the best
-    exactly verified count across rounds wins.  With ``exact`` set, counting
-    and maximum finding are both replaced by their classical scans, which
-    makes the procedure coincide with the brute-force oracle.
+    Each round estimates every machine's agreement count by quantum counting
+    and runs the threshold maximum search over the rounded estimates with
+    the main generator; the candidate with the best exactly verified count
+    across rounds wins.  Counting depends on a machine only through its
+    count: the counting stream of ``seeded_streams`` gives one uniform per
+    machine and round, in round order, drawn for as many rounds at once as
+    fit MAX_LIVE_AMPLITUDES uniforms, and each distinct count's machines
+    (``MachinePool.count_groups``) go through its law in one call.  With
+    ``exact`` set, counting and maximum finding are both replaced by their
+    classical scans, which makes the procedure coincide with the
+    brute-force oracle.
     """
     rng, counting = seeded_streams(seed)
     counter = QueryCounter()
@@ -321,27 +361,18 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
     counts = pool.agreement_counts(rel, params)
     counter.charge(s << n)
     brute_count = int(counts.max())
-    # counting depends on a machine only through its count, so each distinct
-    # count's outcome distribution is computed once, for all machines holding it
-    groups = []
-    if not exact:
-        values, inverse = np.unique(counts, return_inverse=True)
-        groups = [(counting_cdf(int(c), n, k), np.flatnonzero(inverse == i))
-                  for i, c in enumerate(values)]
+    if exact:
+        rounds = itertools.repeat((counts.astype(float), None), reps)
+    else:
+        rounds = _counting_rounds(pool.count_groups(rel, params), counting, reps, s, n, k)
 
     best: Optional[tuple[int, int, float]] = None
-    for rep in range(reps):
+    for rep, (estimates, rounded) in enumerate(rounds):
         if exact:
-            estimates = counts.astype(float)
             winner = int(np.argmax(estimates))
         else:
-            uniforms = counting.random(s)
-            estimates = np.empty(s)
-            for cdf, members in groups:
-                _, _, zeta_tilde = estimation_outcomes(cdf, uniforms[members])
-                estimates[members] = zeta_tilde * (1 << n)
             counter.charge(s * (k - 1))
-            winner = find_maximum(np.rint(estimates).astype(int), rng, counter)
+            winner = find_maximum(rounded, rng, counter)
         count = int(counts[winner])
         counter.charge(1 << n)
         if trace:
@@ -355,6 +386,26 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
     return LearnReport(chosen=pool.encoding(winner), estimated_agreement=estimate,
                        true_agreement=count, oracle_queries=counter.oracle_calls,
                        repetitions=reps, seed=seed, success=count == brute_count)
+
+
+def _counting_rounds(groups: Sequence[tuple[int, np.ndarray]],
+                     counting: np.random.Generator, reps: int, s: int, n: int, k: int):
+    """Yield each round's counting estimates zeta~ 2^n of the s machines, and their rounding.
+
+    ``counting.random((r, s))`` yields the same doubles as ``r`` calls of
+    ``counting.random(s)``, so the rounds are drawn together, as many at a
+    time as fit MAX_LIVE_AMPLITUDES uniforms, and each group's columns go
+    through its count's law in one call.
+    """
+    per_draw = max(1, MAX_LIVE_AMPLITUDES // s)
+    for first in range(0, reps, per_draw):
+        uniforms = counting.random((min(per_draw, reps - first), s))
+        estimates = np.empty_like(uniforms)
+        for count, members in groups:
+            _, _, zeta_tilde = estimation_outcomes(counting_cdf(count, n, k),
+                                                   uniforms[:, members])
+            estimates[:, members] = zeta_tilde * (1 << n)
+        yield from zip(estimates, np.rint(estimates).astype(int))
 
 
 def brute_force_optimum(pool: MachinePool, rel: RelationTable,

@@ -198,15 +198,16 @@ def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarr
 
     Machine r accepts on ``accepting_sets[rows[r, 0]]`` and runs the design
     set ``design_sets[rows[r, 1]]``, a qubit count with its symbol unitaries
-    in SYMBOLS order.  Machines sharing a design set share one run per
-    input, so the design sets of each qubit count are stacked once and the
-    input trie is walked breadth-first over the stack: every prefix state is
-    computed once, in blocks holding at most about MAX_LIVE_AMPLITUDES
-    amplitudes or acceptance probabilities.  An (accepting sets, 2^m) 0/1
-    mask then turns each run's final probabilities into the acceptance
-    probability of every accepting set at once, and each chunk of inputs
-    adds its verdicts to a count per (design set, accepting set) pair, which
-    each machine reads once at the end; no (s, 2^n) table is held.
+    in SYMBOLS order.  Machines whose design sets hold equal unitaries share
+    one run per input, so one design set per distinct run of each qubit
+    count is stacked and the input trie is walked breadth-first over the
+    stack: every prefix state is computed once, in blocks holding at most
+    about MAX_LIVE_AMPLITUDES amplitudes or acceptance probabilities.  An
+    (accepting sets, 2^m) 0/1 mask then turns each run's final
+    probabilities into the acceptance probability of every accepting set at
+    once, and each chunk of inputs adds its verdicts to a count per (run,
+    accepting set) pair, which each machine reads once at the end; no
+    (s, 2^n) table is held.
     """
     n = rel.n
     counts = np.zeros(rows.shape[0], dtype=int)
@@ -219,16 +220,22 @@ def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarr
         mask = np.zeros((used.size, dim))
         for j, a in enumerate(used.tolist()):
             mask[j, list(accepting_sets[a])] = 1.0
+        # design sets whose symbol unitaries are equal byte for byte run alike: number
+        # the runs in order of first appearance and walk the first set of each
+        runs: dict[bytes, int] = {}
+        run_of = np.array([runs.setdefault(b"".join(u.tobytes() for u in design_sets[g][1]),
+                                           len(runs)) for g in sets.tolist()])
+        walked = sets[np.unique(run_of, return_index=True)[1]]
         # transposed unitaries, so that states @ right[sym] applies them to row vectors
-        right = {sym: np.stack([design_sets[g][1][i].T for g in sets.tolist()])
+        right = {sym: np.stack([design_sets[g][1][i].T for g in walked.tolist()])
                  for i, sym in enumerate(SYMBOLS)}
         depth = min(n, max(0, (MAX_LIVE_AMPLITUDES // dim).bit_length() - 1))
         per_block = max(1, MAX_LIVE_AMPLITUDES // (max(dim, used.size) << depth))
-        agree = np.zeros((sets.size, used.size), dtype=int)
-        for lo in range(0, sets.size, per_block):
+        agree = np.zeros((walked.size, used.size), dtype=int)
+        for lo in range(0, walked.size, per_block):
             block = {sym: stack[lo:lo + per_block] for sym, stack in right.items()}
             _fill_block(agree[lo:lo + per_block], block, mask, rel, params, depth)
-        counts[mine] = agree[np.searchsorted(sets, rows[mine, 1]), acc_of]
+        counts[mine] = agree[run_of[np.searchsorted(sets, rows[mine, 1])], acc_of]
     counts.setflags(write=False)
     return counts
 

@@ -215,6 +215,22 @@ def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
     return estimation_cdf(good_angle(count / (1 << n)), k)
 
 
+@lru_cache(maxsize=64)
+def _schedule_ceilings(n_items: int) -> np.ndarray:
+    """ceil(m) after t failed rounds of find_maximum over N items, read-only.
+
+    m runs the search's float recurrence, 1 then min(1.2 m, sqrt(N)); past
+    the first capped entry, where m stays, the table runs on for a block.
+    """
+    cap, m, ceilings = math.sqrt(n_items), 1.0, [1]
+    while m < cap:
+        m = min(m * 1.2, cap)
+        ceilings.append(math.ceil(m))
+    table = np.array(ceilings + ceilings[-1:] * ROUND_BLOCK)
+    table.setflags(write=False)
+    return table
+
+
 def find_maximum(values, rng: np.random.Generator,
                  counter: Optional[QueryCounter] = None, c: float = 15.0) -> int:
     """Threshold-climbing maximum search over an indexed value oracle.
@@ -229,8 +245,11 @@ def find_maximum(values, rng: np.random.Generator,
     ceil(m)) iterations, after which a good index is observed iff
     u_meas < sin^2((2j+1) theta_t); one ``rng.integers`` then picks the
     observed good index uniformly, and a bad outcome draws nothing, as it
-    leaves the threshold unchanged.  Every iteration and every verification
-    of a measured index costs one oracle call, charged once at the end.
+    leaves the threshold unchanged.  Once no index beats the threshold, a
+    round only spends iterations, so the rest of each block is spent in one
+    array pass: a cumulative sum of its j, cut where the budget is reached.
+    Every iteration and every verification of a measured index costs one
+    oracle call, charged once at the end.
     """
     vals = np.asarray(values)
     n_items = int(vals.shape[0])
@@ -240,31 +259,44 @@ def find_maximum(values, rng: np.random.Generator,
     if n_items == 1:
         return best
     budget = math.ceil(c * math.sqrt(n_items))
-    schedule_cap = math.sqrt(n_items)
+    ceilings = _schedule_ceilings(n_items)
+    ceiling_list = ceilings.tolist()
+    last = len(ceiling_list) - 1 - ROUND_BLOCK  # the first capped entry
     used = 0
-    m = 1.0
+    failed = 0  # rounds since the last success: m is at schedule step min(failed, last)
     rounds = 0
     max_rounds = 1000 + 40 * budget  # safety net; never binding in practice
-    block: list = []
     # the good set depends only on the threshold vals[best], which changes only
     # when a good item is drawn; None marks it stale
     good_idx = None
     while used < budget and rounds < max_rounds:
-        if rounds % ROUND_BLOCK == 0:
-            block = rng.random((ROUND_BLOCK, 2)).tolist()
-        u_iter, u_meas = block[rounds % ROUND_BLOCK]
-        rounds += 1
-        j = int(u_iter * math.ceil(m))
+        row = rounds % ROUND_BLOCK
+        if row == 0:
+            block = rng.random((ROUND_BLOCK, 2))
+            pairs = block.tolist()
         if good_idx is None:
             good_idx = np.flatnonzero(vals > vals[best])
             theta = good_angle(good_idx.shape[0] / n_items)
+        if good_idx.shape[0] == 0:
+            step = min(failed, last)
+            spent = np.cumsum((block[row:, 0] * ceilings[step:step + ROUND_BLOCK - row])
+                              .astype(np.intp))
+            taken = min(int(np.searchsorted(spent, budget - used)) + 1, ROUND_BLOCK - row,
+                        max_rounds - rounds)
+            used += int(spent[taken - 1])
+            rounds += taken
+            failed += taken
+            continue
+        u_iter, u_meas = pairs[row]
+        rounds += 1
+        j = int(u_iter * ceiling_list[min(failed, last)])
         used += j
-        if good_idx.shape[0] > 0 and u_meas < amplified_good_probability(theta, j):
+        if u_meas < amplified_good_probability(theta, j):
             best = int(good_idx[rng.integers(good_idx.shape[0])])
-            m = 1.0
+            failed = 0
             good_idx = None
         else:
-            m = min(m * 1.2, schedule_cap)
+            failed += 1
     if counter is not None:
         counter.charge(1 + used + rounds)
     return best

@@ -57,8 +57,8 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def run_cli(*args):
-    """Run ``python -m aeqslearn`` on the package these tests imported.
+def run_python(*args):
+    """Run the interpreter on ``args`` with the package these tests imported.
 
     The child gets that package's parent directory in front of PYTHONPATH, so
     it needs neither an install nor a PYTHONPATH set by the caller.
@@ -66,5 +66,9 @@ def run_cli(*args):
     src = str(Path(aeqslearn.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "aeqslearn", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """Run ``python -m aeqslearn`` on the package these tests imported."""
+    return run_python("-m", "aeqslearn", *args)

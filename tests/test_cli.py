@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import run_cli
+from conftest import run_cli, run_python
 from golden import POOL_4096
 
 from aeqslearn import RunConfig, execute, gates, qqaf
@@ -11,6 +11,18 @@ from aeqslearn import learner
 SMALL = ["--m", "1", "--grid", "1", "--ltuples", "1", "--ldesigns", "1",
          "--k", "256", "--reps", "3"]
 SMALL_KW = dict(m=1, grid=1, ltuples=1, ldesigns=1, k=256, reps=3)
+
+# ``python -m aeqslearn run`` with each algorithm in turn, in one process; after
+# each run it prints the algorithm, the exit code and every module loaded so far
+LOADED_MODULES = """\
+import runpy, sys
+for algorithm in ("second", "first", "brute"):
+    sys.argv[1:] = ["run", "--relation", "balanced", "--n", "3", "--algorithm", algorithm]
+    try:
+        runpy.run_module("aeqslearn", run_name="__main__", alter_sys=True)
+    except SystemExit as done:
+        print(algorithm, done.code, *sorted(sys.modules), file=sys.stderr)
+"""
 
 
 def record_of(proc):
@@ -98,6 +110,18 @@ class TestRunCommand:
                                 "--sacc", "0", "--algorithm", "second"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(message)
+
+    def test_runs_load_no_masked_arrays_or_suites(self):
+        # numpy.ma costs a fresh process about 13 ms to import, and numpy calls
+        # such as np.unique with no return_* flag load it
+        proc = run_python("-c", LOADED_MODULES)
+        lines = [line.split() for line in proc.stderr.splitlines()]
+        assert [line[:2] for line in lines] == [["second", "0"], ["first", "0"],
+                                                ["brute", "0"]], proc.stderr
+        for algorithm, _, *loaded in lines:
+            assert "aeqslearn.learner" in loaded
+            unwanted = set(loaded) & {"numpy.ma", "aeqslearn.suites"}
+            assert not unwanted, (algorithm, sorted(unwanted))
 
     def test_out_file_matches_stdout(self, tmp_path):
         out = tmp_path / "record.json"

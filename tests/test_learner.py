@@ -9,17 +9,18 @@ from dense_reference import (JointLearningState, agreement_count,
                              build_joint_state, finalize_preparation)
 from golden import SACC_ALL16
 
-from aeqslearn import (AgreementParams, DesignTuple, GateParams, MachineEncoding,
-                       MachinePool, PoolConfig, QueryCounter, RelationTable,
-                       StateVector, SymbolDesign, amplified_marginal,
-                       brute_force_optimum, enumerate_pool, first_algorithm,
-                       good_angle, parse_relation, pool_size, prepared_weights,
-                       sample_encoding, second_algorithm, serialize,
-                       verify_condition_star)
-from aeqslearn import qsub
+from aeqslearn import (AgreementParams, DesignTuple, GateParams, LearnReport,
+                       MachineEncoding, MachinePool, PoolConfig, QueryCounter,
+                       RelationTable, StateVector, SymbolDesign,
+                       amplified_marginal, brute_force_optimum, counting_cdf,
+                       enumerate_pool, estimation_outcomes, find_maximum,
+                       first_algorithm, good_angle, parse_relation, pool_size,
+                       prepared_weights, sample_encoding, second_algorithm,
+                       serialize, verify_condition_star)
+from aeqslearn import learner, qsub
 from aeqslearn.errors import PoolTooLarge
 from aeqslearn.gates import design_lines
-from aeqslearn.learner import COUNTS_MEMO_SIZE, seeded_streams
+from aeqslearn.learner import COUNTS_MEMO_SIZE, group_by_count, seeded_streams
 from aeqslearn.qqaf import MAX_LIVE_AMPLITUDES
 
 ETA = AgreementParams(0.9)
@@ -172,6 +173,53 @@ class TestEnumeratePool:
             assert pool.agreement_counts(*keys[i]) is first[i]
         again = pool.agreement_counts(*keys[1])
         assert again is not first[1] and np.array_equal(again, first[1])
+
+
+def counted_groupings(monkeypatch) -> list:
+    """Record each grouping of counts that MachinePool builds."""
+    built = []
+
+    def grouping(counts):
+        built.append(counts)
+        return group_by_count(counts)
+
+    monkeypatch.setattr(learner, "group_by_count", grouping)
+    return built
+
+
+class TestCountGroups:
+    def test_groups_partition_the_pool_by_count(self):
+        pool = random_pool(np.random.default_rng(8), size=40)
+        rel = RelationTable(4, np.random.default_rng(9).integers(2, size=16).astype(bool))
+        counts = pool.agreement_counts(rel, ETA)
+        groups = pool.count_groups(rel, ETA)
+        assert [c for c, _ in groups] == sorted(set(counts.tolist()))
+        assert len(groups) > 3
+        members = np.concatenate([m for _, m in groups])
+        assert sorted(members.tolist()) == list(range(pool.s))
+        for count, m in groups:
+            assert np.all(counts[m] == count)
+            assert np.all(np.diff(m) > 0)  # pool order within a group
+            assert not m.flags.writeable
+
+    def test_repeated_second_calls_group_once(self, monkeypatch):
+        built = counted_groupings(monkeypatch)
+        pool, rel = identity_pool(), parse_relation("balanced", 3)
+        for seed in range(5):
+            second_algorithm(pool, rel, ETA, k=64, seed=seed, reps=2)
+        assert len(built) == 1
+
+    def test_groups_leave_the_memo_with_their_counts(self, monkeypatch):
+        built = counted_groupings(monkeypatch)
+        pool = parity_pool(fillers=1)
+        rel = parse_relation("parity-even", 4)
+        groups = pool.count_groups(rel, ETA)
+        assert pool.count_groups(rel, ETA) is groups and len(built) == 1
+        for b in range(COUNTS_MEMO_SIZE):  # as many other keys as the memo holds
+            pool.agreement_counts(RelationTable.from_indices(4, [b]), ETA)
+        again = pool.count_groups(rel, ETA)
+        assert len(built) == 2 and again is not groups
+        assert [(c, m.tolist()) for c, m in again] == [(c, m.tolist()) for c, m in groups]
 
 
 class TestJointState:
@@ -337,7 +385,76 @@ class TestFirstAlgorithm:
         assert len(calls) == 1
 
 
+def second_algorithm_reference(pool, rel, params, *, k, seed, reps, exact):
+    """``second_algorithm`` one round at a time: each round draws its s counting
+    uniforms and maps the machines of each distinct count, found by a scan,
+    through that count's law."""
+    rng, counting = seeded_streams(seed)
+    counter = QueryCounter()
+    s, n = pool.s, rel.n
+    counts = pool.agreement_counts(rel, params)
+    counter.charge(s << n)
+    values, inverse = np.unique(counts, return_inverse=True)
+    best = None
+    for _ in range(reps):
+        if exact:
+            estimates = counts.astype(float)
+            winner = int(np.argmax(estimates))
+        else:
+            uniforms = counting.random(s)
+            estimates = np.empty(s)
+            for i, count in enumerate(values.tolist()):
+                members = np.flatnonzero(inverse == i)
+                _, _, zeta_tilde = estimation_outcomes(counting_cdf(count, n, k),
+                                                       uniforms[members])
+                estimates[members] = zeta_tilde * (1 << n)
+            counter.charge(s * (k - 1))
+            winner = find_maximum(np.rint(estimates).astype(int), rng, counter)
+        count = int(counts[winner])
+        counter.charge(1 << n)
+        if best is None or count > best[0]:
+            best = (count, winner, float(estimates[winner]))
+    count, winner, estimate = best
+    return LearnReport(chosen=pool.encoding(winner), estimated_agreement=estimate,
+                       true_agreement=count, oracle_queries=counter.oracle_calls,
+                       repetitions=reps, seed=seed, success=count == int(counts.max()))
+
+
+@pytest.fixture(scope="module")
+def reference_cases():
+    """(pool, relation, params): the s=512 and s=4096 enumerated pools, and a
+    random pool whose counts take more than 100 values."""
+    rng = np.random.default_rng(5)
+    wide = MachinePool(dict.fromkeys(sample_encoding(rng, 2, 8, 2, 2) for _ in range(400)))
+    wide_rel = RelationTable(9, np.random.default_rng(9).integers(2, size=512).astype(bool))
+    wide_params = AgreementParams(0.75)
+    assert len(wide.count_groups(wide_rel, wide_params)) > 100
+    small, large = identity_pool(), identity_pool(SACC_ALL16)
+    return [(small, parse_relation("balanced", 3), ETA), (small, parse_relation("eq", 2), ETA),
+            (large, parse_relation("balanced", 2), ETA),
+            (large, RelationTable.from_indices(3, [0, 3, 5, 6]), ETA),
+            (wide, wide_rel, wide_params)]
+
+
 class TestSecondAlgorithm:
+    def test_matches_per_round_reference(self, reference_cases, monkeypatch):
+        for pool, rel, params in reference_cases:
+            for k in (16, 64, 1024):
+                for reps in (1, 2, 5):
+                    for exact in (False, True):
+                        for seed in range(2):
+                            kwargs = dict(k=k, seed=seed, reps=reps, exact=exact)
+                            assert (second_algorithm(pool, rel, params, **kwargs)
+                                    == second_algorithm_reference(pool, rel, params, **kwargs))
+        # 1536 uniforms draw the rounds three at a time at s = 512, one at a time
+        # at s = 4096, and the rounds of the random pool three at a time
+        monkeypatch.setattr(learner, "MAX_LIVE_AMPLITUDES", 1536)
+        for pool, rel, params in reference_cases:
+            for seed in range(2):
+                kwargs = dict(k=1024, seed=seed, reps=5, exact=False)
+                assert (second_algorithm(pool, rel, params, **kwargs)
+                        == second_algorithm_reference(pool, rel, params, **kwargs))
+
     def test_single_dominant_machine(self):
         pool = parity_pool()
         rel = RelationTable.from_predicate(3, lambda x: x.count("1") % 2 == 0)

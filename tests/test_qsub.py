@@ -425,18 +425,40 @@ class TestTwoLevelLaw:
                 assert sample_amplified(good, bad, theta, j, np.random.default_rng(j)) == 0
 
 
+def find_maximum_cases():
+    """(values, seed, c) on which find_maximum must follow the reference loop."""
+    for n_items in (512, 4096):
+        for seed in range(200):
+            yield np.random.default_rng([n_items, seed]).integers(
+                0, 9 if seed % 2 else 65, size=n_items), seed, 15.0
+    for n_items in (2, 3, 17, 64):
+        for seed in range(16):
+            draws = np.random.default_rng([n_items, seed])
+            yield draws.integers(0, 4 if seed % 2 else 1000, size=n_items), seed, 15.0
+            yield np.full(n_items, seed), seed, 15.0
+            # the maximum sits where the search starts, so from the first round
+            # no index beats the threshold and every round is spent in bulk
+            values = draws.integers(0, 10, size=n_items)
+            values[np.random.default_rng(seed).integers(n_items)] = 10
+            yield values, seed, 15.0
+    # at N = 2 a round spends at most one iteration, so a budget of
+    # ceil(100 sqrt 2) = 142 takes at least 142 rounds: the bulk passes run
+    # over three blocks, entered mid-block when the start is not the maximum
+    for seed in range(8):
+        yield np.array([seed % 2, 1]), seed, 100.0
+
+
 class TestFindMaximum:
     def test_memoized_split_matches_reference_loop(self):
-        for n_items in (512, 4096):
-            for seed in range(200):
-                values = np.random.default_rng([n_items, seed]).integers(
-                    0, 9 if seed % 2 else 65, size=n_items)
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                counter, ref_counter = QueryCounter(), QueryCounter()
-                assert (find_maximum(values, rng, counter)
-                        == find_maximum_reference(values, ref_rng, ref_counter))
-                assert counter.oracle_calls == ref_counter.oracle_calls
-                assert rng.random() == ref_rng.random()  # same draws consumed
+        for values, seed, c in find_maximum_cases():
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            counter, ref_counter = QueryCounter(), QueryCounter()
+            assert (find_maximum(values, rng, counter, c)
+                    == find_maximum_reference(values, ref_rng, ref_counter, c))
+            assert counter.oracle_calls == ref_counter.oracle_calls
+            assert rng.random() == ref_rng.random()  # same draws consumed
+            if c == 100.0:  # rounds = calls - 1 - iterations, at most 143 at N = 2
+                assert counter.oracle_calls - 1 - 143 > 2 * ROUND_BLOCK
 
     @pytest.mark.parametrize("case", ["permuted-64-c1", "levels-512-c1"])
     def test_block_law_matches_per_round_loop(self, case):
