@@ -19,6 +19,9 @@ from .qcore import (HermitianOperator, StateVector, hermitian_eigensystem,
 from .qqaf import (AgreementParams, Machine, RelationTable, all_inputs, e_operator,
                    meets_threshold)
 
+# A Hamiltonian whose spectral gap is at most this has no unique ground state.
+GAP_TOL = 1e-9
+
 
 class Verdict(enum.Enum):
     ACCEPT = "accept"
@@ -63,19 +66,18 @@ class AdiabaticReport:
 def h_ini(inst: AeqsInstance) -> HermitianOperator:
     """Hadamard-conjugated start projector complement; input independent."""
     wh = walsh_hadamard(inst.m).entries
-    lam = inst.machine.lambda0.entries
-    return HermitianOperator(wh @ lam @ wh.conj().T)
+    return HermitianOperator(wh @ inst.machine.lambda0 @ wh.conj().T)
 
 
 def h_fin(inst: AeqsInstance, x: str) -> HermitianOperator:
     return e_operator(inst.machine, x)
 
 
-def ground_state(h: HermitianOperator, gap_tol: float = 1e-9) -> StateVector:
+def ground_state(h: HermitianOperator) -> StateVector:
     """Eigenvector of least eigenvalue; demands a unique ground state."""
-    if spectral_gap(h) <= gap_tol:
-        raise DegenerateGroundState(
-            f"spectral gap {spectral_gap(h):.3e} within tolerance {gap_tol:.1e}")
+    gap = spectral_gap(h)
+    if gap <= GAP_TOL:
+        raise DegenerateGroundState(f"spectral gap {gap:.3e} within tolerance {GAP_TOL:.1e}")
     return hermitian_eigensystem(h).ground_state
 
 
@@ -135,7 +137,7 @@ def adiabatic_time_bound(h_start: HermitianOperator, h_end: HermitianOperator,
     min_gap = np.inf
     max_norm = 0.0
     for frac in np.linspace(0.0, 1.0, grid):
-        h_t = HermitianOperator((1.0 - frac) * h_start.entries + frac * h_end.entries)
+        h_t = interpolate(h_start, h_end, frac, 1.0)
         min_gap = min(min_gap, spectral_gap(h_t))
         max_norm = max(max_norm, float(np.linalg.norm(h_t.entries, 2)))
     min_gap = float(min_gap)

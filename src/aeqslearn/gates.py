@@ -4,6 +4,8 @@ A machine over 2^m states is described per tape symbol by a sequence of
 "designs": each design is a list of four-angle single-qubit gates on named
 wires followed by one CNOT.  Angles live on a uniform grid of D steps of
 2*pi/D so the space of encodings is finite and exactly serializable.
+The gate builders return plain complex arrays; ``symbol_unitary`` checks
+their product unitary, once per symbol design it is asked for.
 """
 from __future__ import annotations
 
@@ -64,15 +66,6 @@ class SymbolDesign:
     designs: tuple[DesignTuple, ...] = ()
 
 
-def _check_wires(t: DesignTuple, n: int) -> None:
-    for wire, _ in t.singles:
-        if not 1 <= wire <= n:
-            raise WireOutOfRange(f"wire {wire} outside [1, {n}]")
-    for wire in t.cnot:
-        if not 1 <= wire <= n:
-            raise WireOutOfRange(f"wire {wire} outside [1, {n}]")
-
-
 def check_accepting_set(s_acc: tuple[int, ...], m: int) -> None:
     """An accepting set of an m-qubit machine is sorted, duplicate-free and in range."""
     if list(s_acc) != sorted(set(s_acc)):
@@ -80,12 +73,6 @@ def check_accepting_set(s_acc: tuple[int, ...], m: int) -> None:
     states = 1 << m
     if s_acc and (s_acc[0] < 0 or s_acc[-1] >= states):
         raise ValueError(f"s_acc {s_acc} outside [0, {states})")
-
-
-def check_symbol_design(sd: SymbolDesign, m: int) -> None:
-    """Every wire a symbol design names lies in [1, m]."""
-    for t in sd.designs:
-        _check_wires(t, m)
 
 
 @dataclass(frozen=True)
@@ -107,7 +94,13 @@ class MachineEncoding:
             raise ValueError("need exactly one design sequence per symbol")
         check_accepting_set(self.s_acc, self.m)
         for sd in self.symbol_designs:
-            check_symbol_design(sd, self.m)
+            for t in sd.designs:
+                for wire, _ in t.singles:
+                    if not 1 <= wire <= self.m:
+                        raise WireOutOfRange(f"wire {wire} outside [1, {self.m}]")
+                for wire in t.cnot:
+                    if not 1 <= wire <= self.m:
+                        raise WireOutOfRange(f"wire {wire} outside [1, {self.m}]")
 
     @classmethod
     def from_map(cls, m: int, s_acc, designs: Mapping[str, SymbolDesign]) -> "MachineEncoding":
@@ -134,7 +127,7 @@ def walsh_hadamard(n: int) -> UnitaryOperator:
     return UnitaryOperator(out)
 
 
-def single_qubit_unitary(p: GateParams) -> UnitaryOperator:
+def single_qubit_unitary(p: GateParams) -> np.ndarray:
     """Phase shift times z-rotations sandwiching a real rotation:
 
     e^{i psi} diag(e^{-i beta}, e^{i beta}) R(theta) diag(e^{-i alpha}, e^{i alpha})
@@ -144,53 +137,52 @@ def single_qubit_unitary(p: GateParams) -> UnitaryOperator:
                    dtype=complex)
     left = np.diag([np.exp(-1j * beta), np.exp(1j * beta)])
     right = np.diag([np.exp(-1j * alpha), np.exp(1j * alpha)])
-    return UnitaryOperator(np.exp(1j * psi) * (left @ rot @ right))
+    return np.exp(1j * psi) * (left @ rot @ right)
 
 
-def lifted_unitary(i: int, n: int, u: UnitaryOperator) -> UnitaryOperator:
+def lifted_unitary(i: int, n: int, u: np.ndarray) -> np.ndarray:
     """Embed a 2x2 unitary on wire i of n; wire 1 is the most significant qubit."""
     if not 1 <= i <= n:
         raise WireOutOfRange(f"wire {i} outside [1, {n}]")
-    if u.dim != 2:
-        raise ValueError(f"expected a single-qubit unitary, got dim {u.dim}")
-    out = np.kron(np.eye(1 << (i - 1)), np.kron(u.entries, np.eye(1 << (n - i))))
-    return UnitaryOperator(out)
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 single-qubit unitary, got shape {u.shape}")
+    return np.kron(np.eye(1 << (i - 1)), np.kron(u, np.eye(1 << (n - i))))
 
 
-def cnot_matrix(i: int, j: int, n: int) -> UnitaryOperator:
+def cnot_matrix(i: int, j: int, n: int) -> np.ndarray:
     """CNOT with control wire i and target wire j on n qubits; identity when i = j."""
     for wire in (i, j):
         if not 1 <= wire <= n:
             raise WireOutOfRange(f"wire {wire} outside [1, {n}]")
     dim = 1 << n
     if i == j:
-        return UnitaryOperator(np.eye(dim))
+        return np.eye(dim, dtype=complex)
     control_bit = 1 << (n - i)
     target_bit = 1 << (n - j)
     mat = np.zeros((dim, dim), dtype=complex)
     for b in range(dim):
         b2 = b ^ target_bit if b & control_bit else b
         mat[b2, b] = 1.0
-    return UnitaryOperator(mat)
+    return mat
 
 
-def design_unitary(t: DesignTuple, n: int) -> UnitaryOperator:
+def design_unitary(t: DesignTuple, n: int) -> np.ndarray:
     """Product of the lifted singles, in listed order, times the CNOT.
 
     The CNOT is the rightmost factor, i.e. it acts first on states.
     """
-    _check_wires(t, n)
-    mat = cnot_matrix(t.cnot[0], t.cnot[1], n).entries
+    mat = cnot_matrix(t.cnot[0], t.cnot[1], n)
     for wire, params in reversed(t.singles):
-        mat = lifted_unitary(wire, n, single_qubit_unitary(params)).entries @ mat
-    return UnitaryOperator(mat)
+        mat = lifted_unitary(wire, n, single_qubit_unitary(params)) @ mat
+    return mat
 
 
 def symbol_unitary(d: SymbolDesign, n: int) -> UnitaryOperator:
     """Product of the design unitaries, first design leftmost; empty product is I."""
     mat = np.eye(1 << n, dtype=complex)
     for t in d.designs:
-        mat = mat @ design_unitary(t, n).entries
+        mat = mat @ design_unitary(t, n)
     return UnitaryOperator(mat)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import PoolTooLarge
 from .gates import (SYMBOLS, DesignTuple, GateParams, MachineEncoding,
-                    SymbolDesign, check_accepting_set, check_symbol_design,
-                    design_lines, sacc_line, serialize)
+                    SymbolDesign, check_accepting_set, design_lines, sacc_line,
+                    serialize)
 from .qqaf import (MAX_LIVE_AMPLITUDES, AgreementParams, Machine, RelationTable,
                    UnitaryCache, factored_agreement_counts, shared_unitary)
 from .qsub import (QueryCounter, counting_cdf, estimation_cdf,
@@ -34,6 +34,13 @@ DEFAULT_HARD_CAP = 4096
 
 # Count vectors a pool keeps; beyond this many the least recently used is dropped.
 COUNTS_MEMO_SIZE = 16
+
+
+def check_qubit_count(m: int) -> None:
+    """A pool's symbol unitaries, of 4^m entries, must fit the walk's amplitude bound."""
+    if 2 * m >= MAX_LIVE_AMPLITUDES.bit_length():  # 4^m > MAX_LIVE_AMPLITUDES
+        raise ValueError(f"m={m} qubits need symbol unitaries of 4^m entries, "
+                         f"more than the {MAX_LIVE_AMPLITUDES} amplitudes a walk holds")
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,7 @@ class PoolConfig:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("qubit count and grid resolution must be positive")
-        if 2 * self.m >= MAX_LIVE_AMPLITUDES.bit_length():  # 4^m > MAX_LIVE_AMPLITUDES
-            raise ValueError(f"m={self.m} qubits need symbol unitaries of 4^m entries, "
-                             f"more than the {MAX_LIVE_AMPLITUDES} amplitudes a walk holds")
+        check_qubit_count(self.m)
         if self.l_tuples < 0 or self.l_designs < 0:
             raise ValueError("size bounds must be non-negative")
         if not self.s_acc_choices:
@@ -92,6 +97,8 @@ class MachinePool:
             raise ValueError("pool must not be empty")
         if len(set(ordered)) != len(ordered):
             raise ValueError("pool contains duplicate encodings")
+        for m in {e.m for e in ordered}:
+            check_qubit_count(m)
         accepting: dict[tuple[int, ...], int] = {}
         designs: dict[DesignSet, int] = {}
         rows = [(accepting.setdefault(e.s_acc, len(accepting)),
@@ -238,8 +245,6 @@ def enumerate_pool(cfg: PoolConfig) -> MachinePool:
     symbol_designs = sorted((SymbolDesign(combo)
                              for combo in itertools.product(tuples, repeat=cfg.l_designs)),
                             key=lambda sd: design_lines("", sd))
-    for sd in symbol_designs:
-        check_symbol_design(sd, cfg.m)
     design_sets = [(cfg.m, combo)
                    for combo in itertools.product(symbol_designs, repeat=len(SYMBOLS))]
     return MachinePool.product(accepting, design_sets)

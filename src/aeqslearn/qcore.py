@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange, NonHermitian, NonUnitary
 
-# Default tolerances: state-level checks and entry-level checks.
+# Tolerances: state-level checks and entry-level checks.
 NORM_TOL = 1e-9
 ENTRY_TOL = 1e-12
 
@@ -27,12 +27,12 @@ class StateVector:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, *, tol: float = NORM_TOL):
+    def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size == 0:
             raise ValueError("state needs at least one amplitude")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > tol:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not unit norm: sum |a|^2 = {norm_sq!r}")
         self.amplitudes = _freeze(amps)
 
@@ -52,13 +52,13 @@ class HermitianOperator:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, tol: float = ENTRY_TOL):
+    def __init__(self, entries):
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if defect > tol:
-            raise NonHermitian(f"max |H - H^dagger| = {defect:.3e} exceeds {tol:.1e}")
+        if defect > ENTRY_TOL:
+            raise NonHermitian(f"max |H - H^dagger| = {defect:.3e} exceeds {ENTRY_TOL:.1e}")
         self.entries = _freeze(mat)
 
     @property
@@ -74,13 +74,13 @@ class UnitaryOperator:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, tol: float = NORM_TOL):
+    def __init__(self, entries):
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         defect = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
-        if defect > tol:
-            raise NonUnitary(f"max |U U^dagger - I| = {defect:.3e} exceeds {tol:.1e}")
+        if defect > NORM_TOL:
+            raise NonUnitary(f"max |U U^dagger - I| = {defect:.3e} exceeds {NORM_TOL:.1e}")
         self.entries = _freeze(mat)
 
     @property

@@ -139,11 +139,11 @@ class Machine:
                            for symbol, sd in zip(SYMBOLS, encoding.symbol_designs)}
 
     @property
-    def lambda0(self) -> HermitianOperator:
-        """Projector onto the complement of the start state."""
-        diag = np.ones(self.dim)
+    def lambda0(self) -> np.ndarray:
+        """Projector onto the complement of the start state, as a complex matrix."""
+        diag = np.ones(self.dim, dtype=complex)
         diag[START_STATE] = 0.0
-        return HermitianOperator(np.diag(diag))
+        return np.diag(diag)
 
     @property
     def m(self) -> int:
@@ -188,7 +188,7 @@ def run(mach: Machine, x: str) -> StateVector:
 def e_operator(mach: Machine, x: str) -> HermitianOperator:
     """Conjugate the start-state projector complement by the word unitary."""
     u = mach.word_unitary(x)
-    return HermitianOperator(u @ mach.lambda0.entries @ u.conj().T)
+    return HermitianOperator(u @ mach.lambda0 @ u.conj().T)
 
 
 def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarray]]],

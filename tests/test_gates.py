@@ -15,27 +15,36 @@ from aeqslearn.errors import MalformedEncoding, WireOutOfRange
 QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def unitary_defect(u: np.ndarray) -> float:
+    """max |U U^dagger - I|; the gate builders return unchecked arrays."""
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+
+
+def random_params(rng: np.random.Generator, d: int = 8) -> GateParams:
+    return GateParams(*(int(rng.integers(d)) for _ in range(4)), d)
+
+
 class TestSingleQubitUnitary:
     def test_all_zero_angles_is_identity(self):
         u = single_qubit_unitary(GateParams(0, 0, 0, 0, 4))
-        assert np.allclose(u.entries, np.eye(2), atol=1e-12)
+        assert np.allclose(u, np.eye(2), atol=1e-12)
 
     def test_quarter_rotation(self):
         # cos/sin at theta = pi/2
         u = single_qubit_unitary(GateParams(0, 0, 1, 0, 4))
-        assert np.allclose(u.entries, QUARTER, atol=1e-12)
+        assert np.allclose(u, QUARTER, atol=1e-12)
 
     def test_half_turn_phase(self):
         # e^{i pi} = -1
         u = single_qubit_unitary(GateParams(1, 0, 0, 0, 2))
-        assert np.allclose(u.entries, -np.eye(2), atol=1e-12)
+        assert np.allclose(u, -np.eye(2), atol=1e-12)
 
     @given(d=st.integers(1, 12), data=st.data())
     def test_unit_determinant_and_unitarity(self, d, data):
         idx = [data.draw(st.integers(0, d - 1)) for _ in range(4)]
         u = single_qubit_unitary(GateParams(*idx, d))
-        assert abs(abs(np.linalg.det(u.entries)) - 1.0) <= 1e-9
-        assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(2))) <= 1e-9
+        assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-9
+        assert unitary_defect(u) <= 1e-9
 
 
 class TestLiftedUnitary:
@@ -43,61 +52,91 @@ class TestLiftedUnitary:
         ident = single_qubit_unitary(GateParams(0, 0, 0, 0, 1))
         for wire in (1, 2, 3):
             u = lifted_unitary(wire, 3, ident)
-            assert np.allclose(u.entries, np.eye(8), atol=1e-12)
+            assert np.allclose(u, np.eye(8), atol=1e-12)
 
     def test_wire_one_is_most_significant(self):
         u = lifted_unitary(1, 2, single_qubit_unitary(GateParams(0, 0, 1, 0, 4)))
         expected = np.kron(QUARTER, np.eye(2))
-        assert np.allclose(u.entries, expected, atol=1e-12)
+        assert np.allclose(u, expected, atol=1e-12)
 
     def test_distinct_wires_commute(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            pa = GateParams(*(int(rng.integers(8)) for _ in range(4)), 8)
-            pb = GateParams(*(int(rng.integers(8)) for _ in range(4)), 8)
-            a = lifted_unitary(1, 3, single_qubit_unitary(pa)).entries
-            b = lifted_unitary(3, 3, single_qubit_unitary(pb)).entries
+            pa = random_params(rng)
+            pb = random_params(rng)
+            a = lifted_unitary(1, 3, single_qubit_unitary(pa))
+            b = lifted_unitary(3, 3, single_qubit_unitary(pb))
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-12
 
     def test_wire_out_of_range(self):
         with pytest.raises(WireOutOfRange):
             lifted_unitary(4, 3, single_qubit_unitary(GateParams(0, 0, 0, 0, 1)))
 
+    def test_rejects_non_single_qubit_input(self):
+        with pytest.raises(ValueError, match="2x2"):
+            lifted_unitary(1, 2, np.eye(4))
+
+    def test_random_lifts_are_unitary(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            u = lifted_unitary(int(rng.integers(1, n + 1)), n,
+                               single_qubit_unitary(random_params(rng)))
+            assert u.shape == (1 << n, 1 << n) and u.dtype == complex
+            assert unitary_defect(u) <= 1e-9
+
 
 class TestCnot:
     def test_equal_wires_gives_identity(self):
-        assert np.allclose(cnot_matrix(2, 2, 3).entries, np.eye(8))
+        assert np.allclose(cnot_matrix(2, 2, 3), np.eye(8))
 
     def test_control_first_wire(self):
         # |10> -> |11>
-        u = cnot_matrix(1, 2, 2).entries
+        u = cnot_matrix(1, 2, 2)
         assert np.allclose(u @ np.eye(4)[:, 2], np.eye(4)[:, 3])
 
     def test_control_second_wire(self):
         # |01> -> |11>
-        u = cnot_matrix(2, 1, 2).entries
+        u = cnot_matrix(2, 1, 2)
         assert np.allclose(u @ np.eye(4)[:, 1], np.eye(4)[:, 3])
 
     def test_wire_out_of_range(self):
         with pytest.raises(WireOutOfRange):
             cnot_matrix(0, 1, 2)
 
+    def test_every_cnot_is_complex_and_unitary(self):
+        for n in range(1, 5):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    u = cnot_matrix(i, j, n)
+                    assert u.dtype == complex
+                    assert unitary_defect(u) == 0.0
+
 
 class TestDesignUnitary:
     def test_trivial_design(self):
         u = design_unitary(DesignTuple((), (1, 1)), 1)
-        assert np.allclose(u.entries, np.eye(2), atol=1e-12)
+        assert np.allclose(u, np.eye(2), atol=1e-12)
 
     def test_single_rotation(self):
         t = DesignTuple(((1, GateParams(0, 0, 1, 0, 4)),), (1, 1))
-        assert np.allclose(design_unitary(t, 1).entries, QUARTER, atol=1e-12)
+        assert np.allclose(design_unitary(t, 1), QUARTER, atol=1e-12)
 
     def test_cnot_applied_first(self):
         # on |10>: CNOT(1,2) gives |11>, then the wire-2 quarter turn sends
         # |1> to -|0>, so the product maps |10> to -|10>
         t = DesignTuple(((2, GateParams(0, 0, 1, 0, 4)),), (1, 2))
-        u = design_unitary(t, 2).entries
+        u = design_unitary(t, 2)
         assert np.allclose(u @ np.eye(4)[:, 2], -np.eye(4)[:, 2], atol=1e-12)
+
+    def test_random_design_tuples_are_unitary(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m = int(rng.integers(1, 4))
+            enc = sample_encoding(rng, m=m, d=8, l_tuples=3, l_designs=1)
+            for t in (t for sd in enc.symbol_designs for t in sd.designs):
+                u = design_unitary(t, m)
+                assert u.dtype == complex and unitary_defect(u) <= 1e-9
 
     def test_random_designs_are_unitary(self):
         rng = np.random.default_rng(15)
@@ -105,9 +144,7 @@ class TestDesignUnitary:
             m = int(rng.integers(1, 4))
             enc = sample_encoding(rng, m=m, d=8, l_tuples=2, l_designs=2)
             for sd in enc.symbol_designs:
-                u = symbol_unitary(sd, m).entries
-                defect = np.max(np.abs(u @ u.conj().T - np.eye(1 << m)))
-                assert defect <= 1e-9
+                assert unitary_defect(symbol_unitary(sd, m).entries) <= 1e-9
 
 
 class TestSymbolUnitary:
@@ -124,7 +161,7 @@ class TestSymbolUnitary:
     def test_single_design_matches_design_unitary(self):
         t = DesignTuple(((1, GateParams(3, 1, 2, 5, 8)),), (1, 1))
         a = symbol_unitary(SymbolDesign((t,)), 1).entries
-        b = design_unitary(t, 1).entries
+        b = design_unitary(t, 1)
         assert np.allclose(a, b)
 
 

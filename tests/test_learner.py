@@ -11,13 +11,13 @@ from golden import SACC_ALL16
 
 from aeqslearn import (AgreementParams, DesignTuple, GateParams, LearnReport,
                        MachineEncoding, MachinePool, PoolConfig, QueryCounter,
-                       RelationTable, StateVector, SymbolDesign,
+                       RelationTable, StateVector, SymbolDesign, UnitaryOperator,
                        amplified_marginal, brute_force_optimum, counting_cdf,
                        enumerate_pool, estimation_outcomes, find_maximum,
                        first_algorithm, good_angle, parse_relation, pool_size,
                        prepared_weights, sample_encoding, second_algorithm,
                        serialize, verify_condition_star)
-from aeqslearn import learner, qsub
+from aeqslearn import gates, learner, qqaf, qsub
 from aeqslearn.errors import PoolTooLarge
 from aeqslearn.gates import design_lines
 from aeqslearn.learner import COUNTS_MEMO_SIZE, group_by_count, seeded_streams
@@ -94,6 +94,35 @@ class TestEnumeratePool:
         for m in (10, 30):
             with pytest.raises(ValueError, match=f"m={m} qubits"):
                 PoolConfig(m=m, d=1, l_tuples=0, l_designs=0)
+
+    def test_pool_bounds_qubit_count_before_building_unitaries(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("symbol_unitary called")
+
+        monkeypatch.setattr(qqaf, "symbol_unitary", refuse)
+        monkeypatch.setattr(gates, "symbol_unitary", refuse)
+        for m in (10, 30):
+            with pytest.raises(ValueError) as from_config:
+                PoolConfig(m=m, d=1, l_tuples=0, l_designs=0)
+            with pytest.raises(ValueError) as from_pool:
+                MachinePool((make_encoding(m=1), make_encoding(m=m)))
+            assert str(from_pool.value) == str(from_config.value)
+
+    def test_counts_check_each_symbol_unitary_once(self, monkeypatch):
+        checked = []
+        check = UnitaryOperator.__init__
+
+        def counted(self, entries):
+            checked.append(None)
+            check(self, entries)
+
+        monkeypatch.setattr(UnitaryOperator, "__init__", counted)
+        rng = np.random.default_rng(11)
+        pool = MachinePool(dict.fromkeys(sample_encoding(rng, int(rng.integers(1, 3)), 8, 2, 2)
+                                         for _ in range(30)))
+        pool.agreement_counts(RelationTable.from_indices(3, [1, 2, 6]), ETA)
+        distinct = {(sd, m) for m, sds in pool.design_sets for sd in sds}
+        assert len(distinct) > 30 and len(checked) == len(distinct)
 
     def test_pool_rejects_duplicates(self):
         enc = make_encoding()
