@@ -12,9 +12,9 @@ from .learner import (LearnReport, MachinePool, PoolConfig, brute_force_optimum,
                       enumerate_pool, first_algorithm, pool_size,
                       prepared_weights, sample_encoding, second_algorithm,
                       verify_condition_star)
-from .qcore import (Eigensystem, HermitianOperator, StateVector,
-                    UnitaryOperator, epsilon_close, hermitian_eigensystem,
-                    phase_distance, spectral_gap, subspace_probability)
+from .qcore import (HermitianOperator, StateVector, UnitaryOperator,
+                    eigenvalue_gap, epsilon_close, phase_distance, spectral_gap,
+                    subspace_probability)
 from .qqaf import (VERDICT_TOL, AgreementParams, Machine, RelationTable,
                    all_inputs, bits_to_index, e_operator, index_to_bits,
                    meets_threshold, run)

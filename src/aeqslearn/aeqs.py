@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import BadTime, DegenerateGroundState, DimMismatch, ZeroGap
 from .gates import walsh_hadamard
-from .qcore import (HermitianOperator, StateVector, hermitian_eigensystem,
-                    spectral_gap, subspace_probability)
+from .qcore import (HermitianOperator, StateVector, eigenvalue_gap,
+                    subspace_probability)
 from .qqaf import (AgreementParams, Machine, RelationTable, all_inputs, e_operator,
                    meets_threshold)
 
@@ -57,9 +57,6 @@ class AdiabaticReport:
     norm_diff: float
     min_gap: float
     t_bound: float
-    delta: float
-    epsilon_target: float
-    grid_points: int
     max_norm: float
 
 
@@ -75,10 +72,11 @@ def h_fin(inst: AeqsInstance, x: str) -> HermitianOperator:
 
 def ground_state(h: HermitianOperator) -> StateVector:
     """Eigenvector of least eigenvalue; demands a unique ground state."""
-    gap = spectral_gap(h)
+    evals, evecs = np.linalg.eigh(h.entries)
+    gap = eigenvalue_gap(evals)
     if gap <= GAP_TOL:
         raise DegenerateGroundState(f"spectral gap {gap:.3e} within tolerance {GAP_TOL:.1e}")
-    return hermitian_eigensystem(h).ground_state
+    return StateVector(evecs[:, 0])
 
 
 def accepts(inst: AeqsInstance, x: str) -> Verdict:
@@ -99,10 +97,8 @@ def accepts(inst: AeqsInstance, x: str) -> Verdict:
 def solves(inst: AeqsInstance, rel: RelationTable) -> bool:
     """True iff every member is accepted and every non-member rejected."""
     for x in all_inputs(rel.n):
-        verdict = accepts(inst, x)
-        if rel.contains(x) and verdict is not Verdict.ACCEPT:
-            return False
-        if not rel.contains(x) and verdict is not Verdict.REJECT:
+        wanted = Verdict.ACCEPT if rel.contains(x) else Verdict.REJECT
+        if accepts(inst, x) is not wanted:
             return False
     return True
 
@@ -125,6 +121,8 @@ def adiabatic_time_bound(h_start: HermitianOperator, h_end: HermitianOperator,
     The gap is sampled at ``grid`` uniform schedule fractions; under linear
     interpolation the scan is independent of the total time, which therefore
     cancels.  The bound is ||H_end - H_start|| / (eps^delta * min_gap^(2+delta)).
+    One ``eigvalsh`` per grid point gives both the gap and ||H_t||, which for
+    a Hermitian H_t is its largest |eigenvalue|.
     """
     if h_start.dim != h_end.dim:
         raise DimMismatch(f"dims {h_start.dim} vs {h_end.dim}")
@@ -137,9 +135,9 @@ def adiabatic_time_bound(h_start: HermitianOperator, h_end: HermitianOperator,
     min_gap = np.inf
     max_norm = 0.0
     for frac in np.linspace(0.0, 1.0, grid):
-        h_t = interpolate(h_start, h_end, frac, 1.0)
-        min_gap = min(min_gap, spectral_gap(h_t))
-        max_norm = max(max_norm, float(np.linalg.norm(h_t.entries, 2)))
+        evals = np.linalg.eigvalsh(interpolate(h_start, h_end, frac, 1.0).entries)
+        min_gap = min(min_gap, eigenvalue_gap(evals))
+        max_norm = max(max_norm, float(np.abs(evals).max()))
     min_gap = float(min_gap)
     if norm_diff <= 1e-15:
         t_bound = 0.0
@@ -148,5 +146,4 @@ def adiabatic_time_bound(h_start: HermitianOperator, h_end: HermitianOperator,
     else:
         t_bound = norm_diff / (eps ** delta * min_gap ** (2.0 + delta))
     return AdiabaticReport(norm_diff=norm_diff, min_gap=min_gap, t_bound=t_bound,
-                           delta=delta, epsilon_target=eps, grid_points=grid,
                            max_norm=max_norm)

@@ -101,10 +101,8 @@ def execute(cfg: RunConfig, trace: Trace = None) -> RunRecord:
                                   reps=cfg.reps, trace=trace)
     else:
         enc, count = brute_force_optimum(pool, rel, params)
-        report = LearnReport(chosen=enc, estimated_agreement=float(count),
-                             true_agreement=count,
-                             oracle_queries=pool.s * (1 << cfg.n),
-                             repetitions=1, seed=cfg.seed, success=True)
+        report = LearnReport(chosen=enc, estimated_agreement=float(count), true_agreement=count,
+                             oracle_queries=pool.s * (1 << cfg.n), repetitions=1, success=True)
     brute_count = int(pool.agreement_counts(rel, params).max())
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunRecord(config=cfg, pool_size=pool.s,

@@ -259,7 +259,6 @@ class LearnReport:
     true_agreement: int
     oracle_queries: int
     repetitions: int
-    seed: int
     success: bool
 
 
@@ -327,7 +326,7 @@ def first_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPara
     count, m_idx, agree_est = best
     return LearnReport(chosen=pool.encoding(m_idx), estimated_agreement=agree_est,
                        true_agreement=count, oracle_queries=counter.oracle_calls,
-                       repetitions=done, seed=seed, success=count == full)
+                       repetitions=done, success=count == full)
 
 
 def seeded_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -390,7 +389,7 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
     count, winner, estimate = best
     return LearnReport(chosen=pool.encoding(winner), estimated_agreement=estimate,
                        true_agreement=count, oracle_queries=counter.oracle_calls,
-                       repetitions=reps, seed=seed, success=count == brute_count)
+                       repetitions=reps, success=count == brute_count)
 
 
 def _counting_rounds(groups: Sequence[tuple[int, np.ndarray]],

@@ -1,12 +1,10 @@
 """Complex linear algebra over finite-dimensional Hilbert spaces.
 
-States, Hermitian operators, unitaries, eigensystems, measurement and
+States, Hermitian operators, unitaries, spectral gaps, measurement and
 closeness metrics.  Everything is dense complex128 numpy; values are frozen
 (read-only arrays) after construction and safe to share between tasks.
 """
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -96,49 +94,19 @@ class UnitaryOperator:
         return f"UnitaryOperator(dim={self.dim})"
 
 
-class Eigensystem:
-    """Full spectral decomposition: ascending eigenvalues, orthonormal eigenvectors."""
-
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues, eigenvectors: Iterable[StateVector]):
-        evals = np.array(eigenvalues, dtype=float).reshape(-1)
-        vecs = tuple(eigenvectors)
-        if evals.size != len(vecs):
-            raise ValueError("eigenvalue / eigenvector count mismatch")
-        if np.any(np.diff(evals) < -NORM_TOL):
-            raise ValueError("eigenvalues must be non-decreasing")
-        v = np.column_stack([s.amplitudes for s in vecs])
-        gram_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(len(vecs)))))
-        if gram_defect > NORM_TOL:
-            raise ValueError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
-        self.eigenvalues = _freeze(evals)
-        self.eigenvectors = vecs
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def ground_state(self) -> StateVector:
-        return self.eigenvectors[0]
-
-
-def hermitian_eigensystem(h: HermitianOperator) -> Eigensystem:
-    """Diagonalize, eigenvalues ascending; the ground state is eigenvectors[0]."""
-    evals, evecs = np.linalg.eigh(h.entries)
-    return Eigensystem(evals, [StateVector(evecs[:, i]) for i in range(h.dim)])
-
-
-def spectral_gap(h: HermitianOperator) -> float:
-    """Second-lowest minus lowest eigenvalue, counted with multiplicity.
+def eigenvalue_gap(evals: np.ndarray) -> float:
+    """Second-lowest minus lowest of ascending eigenvalues, counted with multiplicity.
 
     A degenerate ground space therefore yields gap 0.
     """
-    if h.dim < 2:
+    if evals.size < 2:
         raise ValueError("spectral gap needs dim >= 2")
-    evals = np.linalg.eigvalsh(h.entries)
     return max(0.0, float(evals[1] - evals[0]))
+
+
+def spectral_gap(h: HermitianOperator) -> float:
+    """``eigenvalue_gap`` of the spectrum of ``h``."""
+    return eigenvalue_gap(np.linalg.eigvalsh(h.entries))
 
 
 def subspace_probability(s: StateVector, indices) -> float:

@@ -6,7 +6,7 @@ from conftest import (WH_PARAMS, basis_state, gate_design, make_machine,
                       random_state)
 
 from aeqslearn import (AeqsInstance, AgreementParams, HermitianOperator,
-                       Machine, RelationTable, Verdict, accepts,
+                       Machine, RelationTable, StateVector, Verdict, accepts,
                        adiabatic_time_bound, e_operator, epsilon_close,
                        ground_state, h_fin, h_ini, index_to_bits, interpolate,
                        phase_distance, run, sample_encoding, solves,
@@ -83,6 +83,42 @@ class TestGroundState:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateGroundState):
             ground_state(HermitianOperator(np.diag([0.0, 0.0, 1.0])))
+
+    def test_diag_plus_minus(self):
+        assert epsilon_close(ground_state(HermitianOperator(np.diag([1.0, -1.0]))),
+                             basis_state(2, 1), 1e-9)
+
+    def test_hadamard_conjugated_projector(self):
+        # multiply the three 2x2 matrices by hand: WH diag(0,1) WH
+        wh = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        h = HermitianOperator(wh @ np.diag([0.0, 1.0]) @ wh)
+        gs = ground_state(h)
+        assert abs(complex(gs.amplitudes.conj() @ h.entries @ gs.amplitudes)) < 1e-12
+        assert phase_distance(gs, StateVector(wh[:, 0])) <= 1e-9
+
+    def test_one_dimensional_operator_raises(self):
+        h = HermitianOperator([[2.0]])
+        with pytest.raises(ValueError):
+            spectral_gap(h)
+        with pytest.raises(ValueError):
+            ground_state(h)
+
+    def test_single_eigh_without_eigvalsh(self, monkeypatch):
+        # the gap is read off the same eigh call that yields the eigenvector
+        rng = np.random.default_rng(43)
+        cases = []
+        for m in (1, 2, 3, 4):
+            inst = instance(Machine(sample_encoding(rng, m=m)))
+            n = int(rng.integers(0, 4))
+            cases += [h_ini(inst), h_fin(inst, index_to_bits(int(rng.integers(1 << n)), n))]
+        expected = [np.linalg.eigh(h.entries)[1][:, 0] for h in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ground_state called eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for h, amplitudes in zip(cases, expected):
+            assert ground_state(h).amplitudes.tobytes() == amplitudes.tobytes()
 
 
 class TestAccepts:
@@ -167,11 +203,30 @@ class TestAdiabaticTimeBound:
         start = h_ini(instance(mach))
         end = h_fin(instance(mach), "10")
         report = adiabatic_time_bound(start, end, 0.2, 0.5, grid=41)
-        gaps = []
+        gaps, norms = [], []
         for s in np.linspace(0.0, 1.0, 41):
-            evals = np.linalg.eigvalsh((1 - s) * start.entries + s * end.entries)
-            gaps.append(float(evals[1] - evals[0]))
-        assert report.min_gap == pytest.approx(min(gaps), abs=1e-12)
+            h_s = (1 - s) * start.entries + s * end.entries
+            evals = np.linalg.eigvalsh(h_s)
+            gaps.append(max(0.0, float(evals[1] - evals[0])))
+            norms.append(float(np.linalg.norm(h_s, 2)))
+        assert report.min_gap == min(gaps)
+        assert report.max_norm == pytest.approx(max(norms), rel=1e-12, abs=0.0)
+
+    def test_one_eigvalsh_per_grid_point(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        mach = Machine(sample_encoding(rng, m=2))
+        start = h_ini(instance(mach))
+        end = h_fin(instance(mach), "01")
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        adiabatic_time_bound(start, end, 0.2, 0.5, grid=17)
+        assert len(calls) == 17
 
     def test_zero_gap_raises(self):
         start = HermitianOperator(np.diag([0.0, 0.0, 1.0]))

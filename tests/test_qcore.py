@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from conftest import basis_state, random_state, random_unitary
 
-from aeqslearn import (Eigensystem, HermitianOperator, StateVector,
-                       UnitaryOperator, epsilon_close, good_angle,
-                       hermitian_eigensystem, phase_distance, sample_amplified,
-                       spectral_gap, subspace_probability)
+from aeqslearn import (HermitianOperator, StateVector, UnitaryOperator,
+                       epsilon_close, good_angle, phase_distance,
+                       sample_amplified, spectral_gap, subspace_probability)
 from aeqslearn.errors import (DimMismatch, IndexOutOfRange, NonHermitian,
                               NonUnitary)
 
@@ -32,44 +31,6 @@ class TestTypes:
     def test_unitary_rejects_non_unitary(self):
         with pytest.raises(NonUnitary):
             UnitaryOperator([[1.0, 0.0], [1.0, 1.0]])
-
-    def test_eigensystem_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Eigensystem([1.0, 0.0], [basis_state(2, 0), basis_state(2, 1)])
-
-    def test_eigensystem_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            Eigensystem([0.0, 1.0], [basis_state(2, 0), basis_state(2, 0)])
-
-
-class TestEigensystem:
-    def test_zero_matrix(self):
-        es = hermitian_eigensystem(HermitianOperator(np.zeros((4, 4))))
-        assert np.allclose(es.eigenvalues, 0.0)
-
-    def test_diag_plus_minus(self):
-        es = hermitian_eigensystem(HermitianOperator(np.diag([1.0, -1.0])))
-        assert np.allclose(es.eigenvalues, [-1.0, 1.0])
-        assert epsilon_close(es.eigenvectors[0], basis_state(2, 1), 1e-9)
-        assert epsilon_close(es.eigenvectors[1], basis_state(2, 0), 1e-9)
-
-    def test_hadamard_conjugated_projector(self):
-        # multiply the three 2x2 matrices by hand: WH diag(0,1) WH
-        h = HermitianOperator(WH @ np.diag([0.0, 1.0]) @ WH)
-        es = hermitian_eigensystem(h)
-        assert abs(es.ground_energy) < 1e-12
-        assert phase_distance(es.ground_state, WH_KET0) <= 1e-9
-
-    def test_reconstruction_of_random_hermitians(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            dim = int(rng.integers(2, 9))
-            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = HermitianOperator((z + z.conj().T) / 2)
-            es = hermitian_eigensystem(h)
-            v = np.column_stack([s.amplitudes for s in es.eigenvectors])
-            rebuilt = (v * es.eigenvalues) @ v.conj().T
-            assert np.max(np.abs(rebuilt - h.entries)) <= 1e-8
 
 
 class TestSpectralGap:
