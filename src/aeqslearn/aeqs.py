@@ -122,7 +122,9 @@ def adiabatic_time_bound(h_start: HermitianOperator, h_end: HermitianOperator,
     interpolation the scan is independent of the total time, which therefore
     cancels.  The bound is ||H_end - H_start|| / (eps^delta * min_gap^(2+delta)).
     One ``eigvalsh`` per grid point gives both the gap and ||H_t||, which for
-    a Hermitian H_t is its largest |eigenvalue|.
+    a Hermitian H_t is its largest |eigenvalue|.  Each H_t is formed as
+    ``interpolate`` forms it, on the plain arrays, since a convex combination
+    of Hermitian matrices needs no re-check.
     """
     if h_start.dim != h_end.dim:
         raise DimMismatch(f"dims {h_start.dim} vs {h_end.dim}")
@@ -130,12 +132,12 @@ def adiabatic_time_bound(h_start: HermitianOperator, h_end: HermitianOperator,
         raise ValueError("eps and delta must be positive")
     if grid < 2:
         raise ValueError("need at least 2 grid points")
-    diff = h_end.entries - h_start.entries
-    norm_diff = float(np.linalg.norm(diff, 2))
+    start, end = h_start.entries, h_end.entries
+    norm_diff = float(np.linalg.norm(end - start, 2))
     min_gap = np.inf
     max_norm = 0.0
     for frac in np.linspace(0.0, 1.0, grid):
-        evals = np.linalg.eigvalsh(interpolate(h_start, h_end, frac, 1.0).entries)
+        evals = np.linalg.eigvalsh((1.0 - frac) * start + frac * end)
         min_gap = min(min_gap, eigenvalue_gap(evals))
         max_norm = max(max_norm, float(np.abs(evals).max()))
     min_gap = float(min_gap)

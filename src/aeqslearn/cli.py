@@ -18,7 +18,7 @@ from .errors import AeqsError
 from .gates import canonical_text
 from .learner import (LearnReport, PoolConfig, Trace, brute_force_optimum,
                       enumerate_pool, first_algorithm, second_algorithm)
-from .qqaf import AgreementParams
+from .qqaf import MAX_LIVE_AMPLITUDES, AgreementParams
 from .qsub import check_resolution
 from .relations import parse_relation
 
@@ -50,6 +50,9 @@ class RunConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.reps > MAX_LIVE_AMPLITUDES:  # bounds the rounds' work before any is done
+            raise ValueError(f"reps={self.reps} is more than the {MAX_LIVE_AMPLITUDES} "
+                             f"rounds a run may hold")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         check_resolution(self.k)

@@ -26,7 +26,7 @@ from .qqaf import (MAX_LIVE_AMPLITUDES, AgreementParams, Machine, RelationTable,
                    UnitaryCache, factored_agreement_counts, shared_unitary)
 from .qsub import (QueryCounter, counting_cdf, estimation_cdf,
                    estimation_outcomes, find_maximum, good_angle,
-                   sample_amplified, sample_estimation)
+                   rounded_counts, sample_amplified, sample_estimation)
 
 Trace = Optional[Callable[[str], None]]
 
@@ -171,8 +171,7 @@ class MachinePool:
         """
         return self._counts_entry(rel, params).counts
 
-    def count_groups(self, rel: RelationTable,
-                     params: AgreementParams) -> tuple[tuple[int, np.ndarray], ...]:
+    def count_groups(self, rel: RelationTable, params: AgreementParams) -> "CountGroups":
         """The machines grouped by agreement count (see ``group_by_count``).
 
         Built on first use and kept in the same memo entry as the counts, so
@@ -188,21 +187,44 @@ class _CountsEntry:
         self.counts = counts
 
     @cached_property
-    def groups(self) -> tuple[tuple[int, np.ndarray], ...]:
+    def groups(self) -> "CountGroups":
         return group_by_count(self.counts)
 
 
-def group_by_count(counts: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
-    """(count, read-only indices of the machines holding it) per distinct count, ascending.
+@dataclass(frozen=True)
+class CountGroups:
+    """Machines grouped by agreement count, ascending.
 
-    One stable argsort, so each group's indices are in pool order.
+    Group i holds the count ``values[i]`` and the machines
+    ``order[bounds[i]:bounds[i + 1]]``, in pool order; ``order`` is a
+    read-only permutation of the pool, and ``inverse`` its inverse.
+    Iterating yields (count, machines) pairs.
     """
+
+    order: np.ndarray
+    inverse: np.ndarray
+    values: tuple[int, ...]
+    bounds: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return ((count, self.order[a:b])
+                for count, a, b in zip(self.values, self.bounds, self.bounds[1:]))
+
+
+def group_by_count(counts: np.ndarray) -> CountGroups:
+    """The machines grouped by count: one stable argsort, so each group is in pool order."""
     order = np.argsort(counts, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.shape[0])
     order.setflags(write=False)
+    inverse.setflags(write=False)
     ordered = counts[order]
     starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    return tuple(zip(ordered[np.concatenate(([0], starts))].tolist(),
-                     np.split(order, starts)))
+    return CountGroups(order, inverse, tuple(ordered[np.concatenate(([0], starts))].tolist()),
+                       (0, *starts.tolist(), counts.shape[0]))
 
 
 def _all_design_tuples(cfg: PoolConfig) -> list[DesignTuple]:
@@ -354,10 +376,12 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
     count: the counting stream of ``seeded_streams`` gives one uniform per
     machine and round, in round order, drawn for as many rounds at once as
     fit MAX_LIVE_AMPLITUDES uniforms, and each distinct count's machines
-    (``MachinePool.count_groups``) go through its law in one call.  With
-    ``exact`` set, counting and maximum finding are both replaced by their
-    classical scans, which makes the procedure coincide with the
-    brute-force oracle.
+    (``MachinePool.count_groups``) go through its law in one call, which
+    yields only their rounded estimates.  A round's winner is the one
+    machine whose estimate is read, so it alone is computed, from its
+    uniform, when it enters the report or the trace.  With ``exact`` set,
+    counting and maximum finding are both replaced by their classical
+    scans, which makes the procedure coincide with the brute-force oracle.
     """
     rng, counting = seeded_streams(seed)
     counter = QueryCounter()
@@ -366,24 +390,28 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
     counter.charge(s << n)
     brute_count = int(counts.max())
     if exact:
-        rounds = itertools.repeat((counts.astype(float), None), reps)
+        rounds = itertools.repeat((None, None), reps)
     else:
         rounds = _counting_rounds(pool.count_groups(rel, params), counting, reps, s, n, k)
 
     best: Optional[tuple[int, int, float]] = None
-    for rep, (estimates, rounded) in enumerate(rounds):
+    for rep, (uniforms, rounded) in enumerate(rounds):
         if exact:
-            winner = int(np.argmax(estimates))
+            winner = int(np.argmax(counts))
         else:
             counter.charge(s * (k - 1))
             winner = find_maximum(rounded, rng, counter)
         count = int(counts[winner])
         counter.charge(1 << n)
+        improved = best is None or count > best[0]
+        if improved or trace:
+            estimate = (float(count) if exact
+                        else _counting_estimate(count, n, k, uniforms[winner:winner + 1]))
         if trace:
-            trace(f"rep {rep}: winner={winner} estimate={estimates[winner]:.3f} "
+            trace(f"rep {rep}: winner={winner} estimate={estimate:.3f} "
                   f"count={count} queries={counter.oracle_calls}")
-        if best is None or count > best[0]:
-            best = (count, winner, float(estimates[winner]))
+        if improved:
+            best = (count, winner, estimate)
 
     assert best is not None
     count, winner, estimate = best
@@ -392,24 +420,37 @@ def second_algorithm(pool: MachinePool, rel: RelationTable, params: AgreementPar
                        repetitions=reps, success=count == brute_count)
 
 
-def _counting_rounds(groups: Sequence[tuple[int, np.ndarray]],
-                     counting: np.random.Generator, reps: int, s: int, n: int, k: int):
-    """Yield each round's counting estimates zeta~ 2^n of the s machines, and their rounding.
+def _counting_rounds(groups: CountGroups, counting: np.random.Generator,
+                     reps: int, s: int, n: int, k: int):
+    """Yield each round's counting uniforms of the s machines, and the rounded
+    estimates rint(zeta~ 2^n) they draw.
 
     ``counting.random((r, s))`` yields the same doubles as ``r`` calls of
     ``counting.random(s)``, so the rounds are drawn together, as many at a
-    time as fit MAX_LIVE_AMPLITUDES uniforms, and each group's columns go
-    through its count's law in one call.
+    time as fit MAX_LIVE_AMPLITUDES uniforms.  The columns are gathered into
+    group order once, each group's block goes through its count's law in one
+    ``rounded_counts`` call, and the result is scattered back once.
     """
     per_draw = max(1, MAX_LIVE_AMPLITUDES // s)
+    spans = list(zip(groups.values, groups.bounds, groups.bounds[1:]))
     for first in range(0, reps, per_draw):
         uniforms = counting.random((min(per_draw, reps - first), s))
-        estimates = np.empty_like(uniforms)
-        for count, members in groups:
-            _, _, zeta_tilde = estimation_outcomes(counting_cdf(count, n, k),
-                                                   uniforms[:, members])
-            estimates[:, members] = zeta_tilde * (1 << n)
-        yield from zip(estimates, np.rint(estimates).astype(int))
+        if len(spans) == 1:  # one group holds the pool in pool order
+            rounded = rounded_counts(counting_cdf(groups.values[0], n, k), uniforms, n)
+        else:
+            gathered = uniforms.take(groups.order, axis=1)
+            grouped = np.empty(gathered.shape, dtype=int)
+            for count, a, b in spans:
+                grouped[:, a:b] = rounded_counts(counting_cdf(count, n, k), gathered[:, a:b], n)
+            rounded = grouped.take(groups.inverse, axis=1)
+        yield from zip(uniforms, rounded)
+
+
+def _counting_estimate(count: int, n: int, k: int, uniform: np.ndarray) -> float:
+    """The estimate zeta~ 2^n that one uniform (a 1-entry array) draws from the
+    counting law of ``count``: the same float the rounded estimate rounds."""
+    _, _, zeta_tilde = estimation_outcomes(counting_cdf(count, n, k), uniform)
+    return float((zeta_tilde * (1 << n))[0])
 
 
 def brute_force_optimum(pool: MachinePool, rel: RelationTable,

@@ -211,6 +211,10 @@ class TestAdiabaticTimeBound:
             norms.append(float(np.linalg.norm(h_s, 2)))
         assert report.min_gap == min(gaps)
         assert report.max_norm == pytest.approx(max(norms), rel=1e-12, abs=0.0)
+        # each H_t is the one the checked interpolate builds, bit for bit
+        spectra = [np.linalg.eigvalsh(interpolate(start, end, s, 1.0).entries)
+                   for s in np.linspace(0.0, 1.0, 41)]
+        assert report.max_norm == max(float(np.abs(evals).max()) for evals in spectra)
 
     def test_one_eigvalsh_per_grid_point(self, monkeypatch):
         rng = np.random.default_rng(38)

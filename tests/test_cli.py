@@ -163,6 +163,20 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "reps" in proc.stderr
 
+    def test_too_many_reps_is_refused_before_the_pool_is_built(self, monkeypatch, capsys):
+        enumerated = []
+        monkeypatch.setattr(cli_module, "enumerate_pool",
+                            lambda cfg: enumerated.append(cfg) or learner.enumerate_pool(cfg))
+        too_many = str(qqaf.MAX_LIVE_AMPLITUDES + 1)
+        for algorithm in ("second", "first"):
+            code = cli_module.main(["run", "--relation", "balanced", "--n", "2",
+                                    "--algorithm", algorithm, "--reps", too_many])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "reps" in err
+        assert enumerated == []
+        RunConfig(relation="balanced", n=2, reps=qqaf.MAX_LIVE_AMPLITUDES)  # the bound itself holds
+
     def test_negative_seed_is_a_usage_error(self):
         proc = run_cli("run", "--relation", "eq", "--n", "2", "--algorithm", "brute",
                        *SMALL, "--seed", "-1")

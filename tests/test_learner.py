@@ -414,10 +414,10 @@ class TestFirstAlgorithm:
         assert len(calls) == 1
 
 
-def second_algorithm_reference(pool, rel, params, *, k, seed, reps, exact):
+def second_algorithm_reference(pool, rel, params, *, k, seed, reps, exact, trace=None):
     """``second_algorithm`` one round at a time: each round draws its s counting
     uniforms and maps the machines of each distinct count, found by a scan,
-    through that count's law."""
+    through that count's law, estimating every machine."""
     rng, counting = seeded_streams(seed)
     counter = QueryCounter()
     s, n = pool.s, rel.n
@@ -425,7 +425,7 @@ def second_algorithm_reference(pool, rel, params, *, k, seed, reps, exact):
     counter.charge(s << n)
     values, inverse = np.unique(counts, return_inverse=True)
     best = None
-    for _ in range(reps):
+    for rep in range(reps):
         if exact:
             estimates = counts.astype(float)
             winner = int(np.argmax(estimates))
@@ -441,6 +441,9 @@ def second_algorithm_reference(pool, rel, params, *, k, seed, reps, exact):
             winner = find_maximum(np.rint(estimates).astype(int), rng, counter)
         count = int(counts[winner])
         counter.charge(1 << n)
+        if trace:
+            trace(f"rep {rep}: winner={winner} estimate={estimates[winner]:.3f} "
+                  f"count={count} queries={counter.oracle_calls}")
         if best is None or count > best[0]:
             best = (count, winner, float(estimates[winner]))
     count, winner, estimate = best
@@ -451,18 +454,26 @@ def second_algorithm_reference(pool, rel, params, *, k, seed, reps, exact):
 
 @pytest.fixture(scope="module")
 def reference_cases():
-    """(pool, relation, params): the s=512 and s=4096 enumerated pools, and a
-    random pool whose counts take more than 100 values."""
-    rng = np.random.default_rng(5)
-    wide = MachinePool(dict.fromkeys(sample_encoding(rng, 2, 8, 2, 2) for _ in range(400)))
-    wide_rel = RelationTable(9, np.random.default_rng(9).integers(2, size=512).astype(bool))
-    wide_params = AgreementParams(0.75)
+    """(pool, relation, params): the s=512 and s=4096 enumerated pools, the
+    s=512 pool at n=12 (2^n above every k tried), and a random pool whose
+    counts take more than 100 values."""
+    wide, wide_rel, wide_params = random_wide_pool(), random_relation(9, 9), AgreementParams(0.75)
     assert len(wide.count_groups(wide_rel, wide_params)) > 100
     small, large = identity_pool(), identity_pool(SACC_ALL16)
     return [(small, parse_relation("balanced", 3), ETA), (small, parse_relation("eq", 2), ETA),
             (large, parse_relation("balanced", 2), ETA),
             (large, RelationTable.from_indices(3, [0, 3, 5, 6]), ETA),
+            (small, random_relation(12, 12), ETA),
             (wide, wide_rel, wide_params)]
+
+
+def random_wide_pool() -> MachinePool:
+    rng = np.random.default_rng(5)
+    return MachinePool(dict.fromkeys(sample_encoding(rng, 2, 8, 2, 2) for _ in range(400)))
+
+
+def random_relation(n: int, seed: int) -> RelationTable:
+    return RelationTable(n, np.random.default_rng(seed).integers(2, size=1 << n).astype(bool))
 
 
 class TestSecondAlgorithm:
@@ -483,6 +494,33 @@ class TestSecondAlgorithm:
                 kwargs = dict(k=1024, seed=seed, reps=5, exact=False)
                 assert (second_algorithm(pool, rel, params, **kwargs)
                         == second_algorithm_reference(pool, rel, params, **kwargs))
+
+    def test_trace_matches_per_round_reference(self, reference_cases):
+        # every round's winner estimate, also in rounds that do not improve on the best
+        for pool, rel, params in reference_cases:
+            for exact in (False, True):
+                lines, ref_lines = [], []
+                kwargs = dict(k=64, seed=1, reps=5, exact=exact)
+                assert (second_algorithm(pool, rel, params, trace=lines.append, **kwargs)
+                        == second_algorithm_reference(pool, rel, params,
+                                                      trace=ref_lines.append, **kwargs))
+                assert lines == ref_lines and len(lines) == 5
+
+    def test_matches_per_round_reference_at_the_largest_resolution(self, monkeypatch):
+        # k = 2^18 on the random pool: each counting law fills ESTIMATION_LAWS
+        # alone, and both memos stay within MAX_LIVE_AMPLITUDES entries
+        for memo in ("ESTIMATION_LAWS", "ROUNDING_RUNS"):
+            monkeypatch.setattr(qsub, memo, qsub._ArrayMemo(MAX_LIVE_AMPLITUDES))
+        pool, rel, params = random_wide_pool(), random_relation(4, 4), AgreementParams(0.75)
+        assert len(pool.count_groups(rel, params)) > 5
+        kwargs = dict(k=MAX_LIVE_AMPLITUDES, seed=3, reps=2, exact=False)
+        assert (second_algorithm(pool, rel, params, **kwargs)
+                == second_algorithm_reference(pool, rel, params, **kwargs))
+        assert list(qsub.ROUNDING_RUNS.entries) == [(4, MAX_LIVE_AMPLITUDES)]
+        for memo in (qsub.ESTIMATION_LAWS, qsub.ROUNDING_RUNS):
+            assert 0 < memo.floats <= MAX_LIVE_AMPLITUDES
+            assert memo.floats == sum(arr.size for value in memo.entries.values()
+                                      for arr in (value if isinstance(value, tuple) else (value,)))
 
     def test_single_dominant_machine(self):
         pool = parity_pool()

@@ -8,11 +8,12 @@ from dense_reference import grover_iterate, phase_estimation_distribution, qft
 from aeqslearn import (QueryCounter, amplified_good_probability,
                        amplified_marginal, counting_cdf, estimation_cdf,
                        estimation_outcomes, find_maximum, good_angle,
-                       phase_distribution, prepared_weights, sample_amplified,
-                       sample_estimation)
+                       phase_distribution, prepared_weights, rounded_counts,
+                       sample_amplified, sample_estimation)
 from aeqslearn.errors import BadResolution
 from aeqslearn.qqaf import MAX_LIVE_AMPLITUDES
-from aeqslearn.qsub import ESTIMATION_LAWS, ROUND_BLOCK, check_resolution
+from aeqslearn.qsub import (ESTIMATION_LAWS, ROUND_BLOCK, check_resolution,
+                            rounding_runs)
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -296,6 +297,79 @@ class TestQuantumCount:
         assert hits >= 40
 
 
+def rounded_table(n, k):
+    """rint(zeta~ 2^n) of every outcome z in [0, k), through ``estimation_outcomes``."""
+    uniform_law = np.arange(1, k + 1) / k
+    _, _, zeta = estimation_outcomes(uniform_law, (np.arange(k) + 0.5) / k)
+    return np.rint(zeta * (1 << n))
+
+
+def break_uniforms(cdf, ends):
+    """Uniforms putting v = u cdf[-1] on each threshold cdf[e] of the given run
+    ends where one can, one ulp of u either side, 0 and 1 - 2^-53; and how
+    many thresholds they hit."""
+    total, targets = cdf[-1], cdf[ends]
+    on = targets / total
+    scaled = on * total
+    on = np.where(scaled < targets, np.nextafter(on, 1.0),
+                  np.where(scaled > targets, np.nextafter(on, 0.0), on))
+    around = np.stack([np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)], axis=1).ravel()
+    u = np.minimum(np.concatenate([[0.0], around, [1.0 - 2.0**-53]]), 1.0 - 2.0**-53)
+    return u, int(np.count_nonzero(on * total == targets))
+
+
+class TestRoundedCounts:
+    NS = range(1, 13)
+    KS = [1 << j for j in range(13)]
+
+    def test_runs_are_the_rounded_table_in_runs(self):
+        for n in self.NS:
+            for k in self.KS:
+                table = rounded_table(n, k)
+                ends, values = rounding_runs(n, k)
+                assert ends.tolist() == np.flatnonzero(table[1:] != table[:-1]).tolist()
+                assert values.tolist() == table[np.concatenate(([0], ends + 1))].tolist()
+                assert values.shape[0] <= min(k, (2 << n) + 1)
+                assert not ends.flags.writeable and not values.flags.writeable
+                assert rounding_runs(n, k)[0] is ends
+
+    def test_rounded_counts_hold_at_every_run_break(self):
+        # every count of 2^n, n <= 12, at every k <= 4096: v on each break of
+        # the runs and one ulp of u either side, padded with fixed uniforms to
+        # more than the runs can number, so that the run lookup serves them.
+        # A law depends only on count / 2^n, so each is built once, at n = 12.
+        top = self.NS[-1]
+        pad = np.random.default_rng(6).random((2 << top) + 1)
+        hits = 0
+        for k in self.KS:
+            ends = {n: np.flatnonzero(np.diff(rounded_table(n, k))) for n in self.NS}
+            for scaled in range((1 << top) + 1):
+                cdf = counting_cdf(scaled, top, k)
+                for n in self.NS:
+                    count, rest = divmod(scaled, 1 << (top - n))
+                    if rest:
+                        continue
+                    u, hit = break_uniforms(cdf, ends[n])
+                    hits += hit
+                    u = np.concatenate([u, pad[:max(0, min(k, (2 << n) + 1) + 1 - u.size)]])
+                    want = np.rint(estimation_outcomes(cdf, u)[2] * (1 << n))
+                    assert (rounded_counts(cdf, u, n) == want).all(), (n, k, count)
+        assert hits > 0
+
+    def test_rounded_counts_take_either_path_and_keep_the_shape(self):
+        # a block of uniforms outnumbering the runs goes through the run lookup;
+        # as many as the runs or fewer, each outcome is drawn and rounded
+        for n, k in ((1, 1024), (3, 1024), (12, 16), (12, 4096)):
+            runs = min(k, (2 << n) + 1)
+            for count in (0, 1, (1 << n) // 3, 1 << n):
+                cdf = counting_cdf(count, n, k)
+                for shape in ((3, runs), (runs,)):
+                    u = np.random.default_rng(count).random(shape)
+                    got = rounded_counts(cdf, u, n)
+                    assert got.shape == shape and got.dtype == np.int_
+                    assert np.array_equal(got, np.rint(estimation_outcomes(cdf, u)[2] * (1 << n)))
+
+
 def find_maximum_reference(values, rng, counter=None, c=15.0):
     """The threshold search on find_maximum's blocks of uniforms, recomputing
     its good set over all N items each round."""
@@ -446,6 +520,10 @@ def find_maximum_cases():
     # over three blocks, entered mid-block when the start is not the maximum
     for seed in range(8):
         yield np.array([seed % 2, 1]), seed, 100.0
+    # long climbs over a permutation of 65,536 values: with these seeds a
+    # block's rounds read its uniforms as floats after the previous block's did
+    for seed in (18, 22, 29):
+        yield np.random.default_rng([1 << 16, seed]).permutation(1 << 16), seed, 15.0
 
 
 class TestFindMaximum:
