@@ -21,8 +21,7 @@ from .qqaf import (VERDICT_TOL, AgreementParams, Machine, RelationTable,
 from .qsub import (EstimationResult, QueryCounter, amplified_good_probability,
                    amplified_marginal, counting_cdf, estimation_cdf,
                    estimation_outcomes, find_maximum, good_angle,
-                   phase_distribution, rounded_counts, sample_amplified,
-                   sample_estimation)
+                   phase_distribution, sample_amplified, sample_estimation)
 from .relations import BUILTIN_RELATIONS, parse_relation
 
 __version__ = "0.1.0"

@@ -198,20 +198,12 @@ class CountGroups:
     Group i holds the count ``values[i]`` and the machines
     ``order[bounds[i]:bounds[i + 1]]``, in pool order; ``order`` is a
     read-only permutation of the pool, and ``inverse`` its inverse.
-    Iterating yields (count, machines) pairs.
     """
 
     order: np.ndarray
     inverse: np.ndarray
     values: tuple[int, ...]
     bounds: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return ((count, self.order[a:b])
-                for count, a, b in zip(self.values, self.bounds, self.bounds[1:]))
 
 
 def group_by_count(counts: np.ndarray) -> CountGroups:

@@ -132,36 +132,26 @@ def phase_distribution(theta: float, k: int) -> np.ndarray:
 
 
 class _ArrayMemo:
-    """Least-recently-used read-only arrays, or tuples of them, of at most
-    ``limit`` entries in total."""
+    """Least-recently-used read-only arrays, at most ``limit`` floats in total."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.entries: OrderedDict = OrderedDict()
         self.floats = 0
 
-    def get(self, key, build):
-        value = self.entries.get(key)
-        if value is not None:
+    def get(self, key, build) -> np.ndarray:
+        arr = self.entries.get(key)
+        if arr is not None:
             self.entries.move_to_end(key)
-            return value
-        value = build()
-        for arr in _arrays(value):
-            arr.setflags(write=False)
-        self.entries[key] = value
-        self.floats += _floats(value)
+            return arr
+        arr = build()
+        arr.setflags(write=False)
+        self.entries[key] = arr
+        self.floats += arr.size
         while self.floats > self.limit:
             _, old = self.entries.popitem(last=False)
-            self.floats -= _floats(old)
-        return value
-
-
-def _arrays(value) -> tuple[np.ndarray, ...]:
-    return value if isinstance(value, tuple) else (value,)
-
-
-def _floats(value) -> int:
-    return sum(arr.size for arr in _arrays(value))
+            self.floats -= old.size
+        return arr
 
 
 ESTIMATION_LAWS = _ArrayMemo(MAX_LIVE_AMPLITUDES)
@@ -184,14 +174,8 @@ def estimation_outcomes(cdf: np.ndarray, uniforms: np.ndarray
     zeta~ = sin^2(theta~), one entry per uniform.  Charges nothing.
     """
     k = cdf.shape[0]
-    z = _outcomes(cdf, uniforms * cdf[-1])
+    z = np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), k - 1)
     return z, math.pi * z / k, _zeta_table(k)[z]
-
-
-def _outcomes(cdf: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The outcome z of each scaled uniform v = u cdf[-1]: the least z with
-    cdf[z] > v, capped at k - 1."""
-    return np.minimum(np.searchsorted(cdf, v, side="right"), cdf.shape[0] - 1)
 
 
 @lru_cache(maxsize=MAX_LIVE_AMPLITUDES.bit_length())  # every power-of-two k in range
@@ -234,19 +218,19 @@ def counting_cdf(count: int, n: int, k: int) -> np.ndarray:
 ROUNDING_RUNS = _ArrayMemo(MAX_LIVE_AMPLITUDES)
 
 
-def rounding_runs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def rounding_runs(n: int, k: int) -> np.ndarray:
     """The runs of equal rounded counts rint(sin^2(pi z / k) 2^n) over z in [0, k).
 
-    Returns (ends, values): run i holds the rounded count ``values[i]``, and
-    run i + 1 starts at outcome ``ends[i] + 1``.  sin^2 rises and then falls
-    on [0, k), so there are at most 2^(n+1) + 1 runs.  The pair is read-only
-    and memoized on (n, k) in ``ROUNDING_RUNS``, at most MAX_LIVE_AMPLITUDES
-    entries in all.
+    Returns a read-only (2, R) int array: run i ends at outcome
+    ``runs[0, i]`` and holds the rounded count ``runs[1, i]``, so the last
+    run ends at k - 1.  sin^2 rises and then falls on [0, k), so there are
+    at most 2^(n+1) + 1 runs.  Memoized on (n, k) in ``ROUNDING_RUNS``, at
+    most MAX_LIVE_AMPLITUDES entries in all.
     """
     def build():
         rounded = np.rint(_zeta_table(k) * (1 << n)).astype(int)
-        ends = np.flatnonzero(rounded[1:] != rounded[:-1])
-        return ends, rounded[np.concatenate(([0], ends + 1))]
+        ends = np.append(np.flatnonzero(rounded[1:] != rounded[:-1]), k - 1)
+        return np.stack((ends, rounded[ends]))
 
     return ROUNDING_RUNS.get((n, k), build)
 
@@ -255,19 +239,13 @@ def rounded_counts(cdf: np.ndarray, uniforms: np.ndarray, n: int) -> np.ndarray:
     """The rounded count estimates rint(zeta~ 2^n) that the uniforms draw, as ints.
 
     Equal to ``np.rint(estimation_outcomes(cdf, uniforms)[2] * 2^n)``.  With
-    v = u cdf[-1], the outcome z reaches the run starting at t exactly when
-    cdf[t - 1] <= v, so a uniform's run is the number of run ends e with
-    cdf[e] <= v; the cap z <= k - 1 changes nothing, as no run starts at k.
-    Where the runs (``rounding_runs``) may be as many as the uniforms, as
-    when 2^n is about k or more, each uniform's outcome is drawn as
-    ``estimation_outcomes`` draws it and then rounded.  Charges nothing.
+    v = u cdf[-1], the outcome z passes the run ending at e exactly when
+    cdf[e] <= v, so a uniform's run (``rounding_runs``) is the number of
+    earlier run ends e with cdf[e] <= v; the cap z <= k - 1 changes
+    nothing, as the last run ends at k - 1.  Charges nothing.
     """
-    k = cdf.shape[0]
-    v = uniforms * cdf[-1]
-    if min(k, (2 << n) + 1) < uniforms.size:
-        ends, values = rounding_runs(n, k)
-        return values[np.searchsorted(cdf[ends], v, side="right")]
-    return np.rint(_zeta_table(k)[_outcomes(cdf, v)] * (1 << n)).astype(int)
+    runs = rounding_runs(n, cdf.shape[0])
+    return runs[1][np.searchsorted(cdf[runs[0, :-1]], uniforms * cdf[-1], side="right")]
 
 
 @lru_cache(maxsize=64)

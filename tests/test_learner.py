@@ -216,17 +216,24 @@ def counted_groupings(monkeypatch) -> list:
     return built
 
 
+def group_members(groups) -> list:
+    """(count, machines) per group of a CountGroups, ascending by count."""
+    return [(count, groups.order[a:b])
+            for count, a, b in zip(groups.values, groups.bounds, groups.bounds[1:])]
+
+
 class TestCountGroups:
     def test_groups_partition_the_pool_by_count(self):
         pool = random_pool(np.random.default_rng(8), size=40)
         rel = RelationTable(4, np.random.default_rng(9).integers(2, size=16).astype(bool))
         counts = pool.agreement_counts(rel, ETA)
         groups = pool.count_groups(rel, ETA)
-        assert [c for c, _ in groups] == sorted(set(counts.tolist()))
-        assert len(groups) > 3
-        members = np.concatenate([m for _, m in groups])
-        assert sorted(members.tolist()) == list(range(pool.s))
-        for count, m in groups:
+        assert list(groups.values) == sorted(set(counts.tolist()))
+        assert len(groups.values) > 3
+        assert sorted(groups.order.tolist()) == list(range(pool.s))
+        assert np.array_equal(groups.order[groups.inverse], np.arange(pool.s))
+        assert not groups.inverse.flags.writeable
+        for count, m in group_members(groups):
             assert np.all(counts[m] == count)
             assert np.all(np.diff(m) > 0)  # pool order within a group
             assert not m.flags.writeable
@@ -248,7 +255,8 @@ class TestCountGroups:
             pool.agreement_counts(RelationTable.from_indices(4, [b]), ETA)
         again = pool.count_groups(rel, ETA)
         assert len(built) == 2 and again is not groups
-        assert [(c, m.tolist()) for c, m in again] == [(c, m.tolist()) for c, m in groups]
+        assert ([(c, m.tolist()) for c, m in group_members(again)]
+                == [(c, m.tolist()) for c, m in group_members(groups)])
 
 
 class TestJointState:
@@ -458,7 +466,7 @@ def reference_cases():
     s=512 pool at n=12 (2^n above every k tried), and a random pool whose
     counts take more than 100 values."""
     wide, wide_rel, wide_params = random_wide_pool(), random_relation(9, 9), AgreementParams(0.75)
-    assert len(wide.count_groups(wide_rel, wide_params)) > 100
+    assert len(wide.count_groups(wide_rel, wide_params).values) > 100
     small, large = identity_pool(), identity_pool(SACC_ALL16)
     return [(small, parse_relation("balanced", 3), ETA), (small, parse_relation("eq", 2), ETA),
             (large, parse_relation("balanced", 2), ETA),
@@ -512,15 +520,14 @@ class TestSecondAlgorithm:
         for memo in ("ESTIMATION_LAWS", "ROUNDING_RUNS"):
             monkeypatch.setattr(qsub, memo, qsub._ArrayMemo(MAX_LIVE_AMPLITUDES))
         pool, rel, params = random_wide_pool(), random_relation(4, 4), AgreementParams(0.75)
-        assert len(pool.count_groups(rel, params)) > 5
+        assert len(pool.count_groups(rel, params).values) > 5
         kwargs = dict(k=MAX_LIVE_AMPLITUDES, seed=3, reps=2, exact=False)
         assert (second_algorithm(pool, rel, params, **kwargs)
                 == second_algorithm_reference(pool, rel, params, **kwargs))
         assert list(qsub.ROUNDING_RUNS.entries) == [(4, MAX_LIVE_AMPLITUDES)]
         for memo in (qsub.ESTIMATION_LAWS, qsub.ROUNDING_RUNS):
             assert 0 < memo.floats <= MAX_LIVE_AMPLITUDES
-            assert memo.floats == sum(arr.size for value in memo.entries.values()
-                                      for arr in (value if isinstance(value, tuple) else (value,)))
+            assert memo.floats == sum(arr.size for arr in memo.entries.values())
 
     def test_single_dominant_machine(self):
         pool = parity_pool()

@@ -8,12 +8,12 @@ from dense_reference import grover_iterate, phase_estimation_distribution, qft
 from aeqslearn import (QueryCounter, amplified_good_probability,
                        amplified_marginal, counting_cdf, estimation_cdf,
                        estimation_outcomes, find_maximum, good_angle,
-                       phase_distribution, prepared_weights, rounded_counts,
-                       sample_amplified, sample_estimation)
+                       phase_distribution, prepared_weights, sample_amplified,
+                       sample_estimation)
 from aeqslearn.errors import BadResolution
 from aeqslearn.qqaf import MAX_LIVE_AMPLITUDES
 from aeqslearn.qsub import (ESTIMATION_LAWS, ROUND_BLOCK, check_resolution,
-                            rounding_runs)
+                            rounded_counts, rounding_runs)
 
 EIGHT_OVER_PI_SQ = 8 / math.pi**2
 
@@ -326,20 +326,18 @@ class TestRoundedCounts:
         for n in self.NS:
             for k in self.KS:
                 table = rounded_table(n, k)
-                ends, values = rounding_runs(n, k)
-                assert ends.tolist() == np.flatnonzero(table[1:] != table[:-1]).tolist()
-                assert values.tolist() == table[np.concatenate(([0], ends + 1))].tolist()
-                assert values.shape[0] <= min(k, (2 << n) + 1)
-                assert not ends.flags.writeable and not values.flags.writeable
-                assert rounding_runs(n, k)[0] is ends
+                runs = rounding_runs(n, k)
+                ends = np.flatnonzero(table[1:] != table[:-1])
+                assert runs[0].tolist() == [*ends.tolist(), k - 1]
+                assert runs[1].tolist() == table[runs[0]].tolist()
+                assert runs.shape[1] <= min(k, (2 << n) + 1)
+                assert not runs.flags.writeable and rounding_runs(n, k) is runs
 
     def test_rounded_counts_hold_at_every_run_break(self):
         # every count of 2^n, n <= 12, at every k <= 4096: v on each break of
-        # the runs and one ulp of u either side, padded with fixed uniforms to
-        # more than the runs can number, so that the run lookup serves them.
-        # A law depends only on count / 2^n, so each is built once, at n = 12.
+        # the runs and one ulp of u either side.  A law depends only on
+        # count / 2^n, so each is built once, at n = 12.
         top = self.NS[-1]
-        pad = np.random.default_rng(6).random((2 << top) + 1)
         hits = 0
         for k in self.KS:
             ends = {n: np.flatnonzero(np.diff(rounded_table(n, k))) for n in self.NS}
@@ -351,19 +349,18 @@ class TestRoundedCounts:
                         continue
                     u, hit = break_uniforms(cdf, ends[n])
                     hits += hit
-                    u = np.concatenate([u, pad[:max(0, min(k, (2 << n) + 1) + 1 - u.size)]])
                     want = np.rint(estimation_outcomes(cdf, u)[2] * (1 << n))
                     assert (rounded_counts(cdf, u, n) == want).all(), (n, k, count)
         assert hits > 0
 
-    def test_rounded_counts_take_either_path_and_keep_the_shape(self):
-        # a block of uniforms outnumbering the runs goes through the run lookup;
-        # as many as the runs or fewer, each outcome is drawn and rounded
+    def test_rounded_counts_keep_the_shape(self):
+        # blocks from one uniform to more than the runs number, at 2^n below,
+        # near and above k
         for n, k in ((1, 1024), (3, 1024), (12, 16), (12, 4096)):
             runs = min(k, (2 << n) + 1)
             for count in (0, 1, (1 << n) // 3, 1 << n):
                 cdf = counting_cdf(count, n, k)
-                for shape in ((3, runs), (runs,)):
+                for shape in ((1,), (3, runs), (runs + 1,)):
                     u = np.random.default_rng(count).random(shape)
                     got = rounded_counts(cdf, u, n)
                     assert got.shape == shape and got.dtype == np.int_
