@@ -22,8 +22,8 @@ from .errors import PoolTooLarge
 from .gates import (SYMBOLS, DesignTuple, GateParams, MachineEncoding,
                     SymbolDesign, check_accepting_set, design_lines, sacc_line,
                     serialize)
-from .qqaf import (MAX_LIVE_AMPLITUDES, AgreementParams, Machine, RelationTable,
-                   UnitaryCache, factored_agreement_counts, shared_unitary)
+from .qqaf import (MAX_LIVE_AMPLITUDES, AgreementParams, Machine, RelationTable, Run,
+                   distinct_runs, factored_agreement_counts)
 from .qsub import (QueryCounter, counting_cdf, estimation_cdf,
                    estimation_outcomes, find_maximum, good_angle,
                    rounded_counts, sample_amplified, sample_estimation)
@@ -77,6 +77,21 @@ def pool_size(cfg: PoolConfig) -> int:
     return (per_design**cfg.l_designs) ** len(SYMBOLS) * len(cfg.s_acc_choices)
 
 
+def _pool_size_within(cfg: PoolConfig, limit: int) -> Optional[int]:
+    """``pool_size(cfg)`` if it is at most ``limit``, else None, without building
+    a number much above ``limit``: a power of a base of 2 or more passes
+    ``limit`` once its exponent passes limit's bit length."""
+    size = len(cfg.s_acc_choices)
+    for base, exponent in ((cfg.m * cfg.d**4, len(SYMBOLS) * cfg.l_designs * cfg.l_tuples),
+                           (cfg.m**2, len(SYMBOLS) * cfg.l_designs)):
+        if base > 1 and exponent > limit.bit_length():
+            return None
+        size *= min(base, limit + 1) ** exponent
+        if size > limit:
+            return None
+    return size
+
+
 DesignSet = tuple[int, tuple[SymbolDesign, ...]]  # qubit count, one design per symbol
 
 
@@ -85,10 +100,9 @@ class MachinePool:
 
     The pool is held as its factors: the distinct accepting sets, the
     distinct design sets (qubit count and symbol designs), and per row the
-    indices of its accepting set and design set.  ``encodings`` and
-    ``machines`` are views built on first use; the trainers read the
-    agreement counts, which are built from the factors, and build only the
-    encoding they return.
+    indices of its accepting set and design set.  ``runs``, ``encodings``
+    and ``machines`` are built on first use; the trainers read the agreement
+    counts, walked over ``runs``, and build only the encoding they return.
     """
 
     def __init__(self, encodings: Iterable[MachineEncoding]):
@@ -128,7 +142,6 @@ class MachinePool:
         self.accepting_sets = accepting_sets
         self.design_sets = design_sets
         self.rows = rows  # (s, 2): accepting-set index, design-set index
-        self._unitaries: UnitaryCache = {}  # each distinct symbol unitary, built once
         self._counts: OrderedDict = OrderedDict()
 
     @property
@@ -145,17 +158,24 @@ class MachinePool:
         return tuple(self.encoding(i) for i in range(self.s))
 
     @cached_property
+    def runs(self) -> tuple[tuple[Run, ...], np.ndarray]:
+        """``qqaf.distinct_runs``, and each row's read-only (accepting set, run) cell."""
+        runs, run_of = distinct_runs(self.design_sets)
+        cells = np.stack([self.rows[:, 0], run_of[self.rows[:, 1]]], axis=1)
+        cells.setflags(write=False)
+        return runs, cells
+
+    @cached_property
     def machines(self) -> tuple[Machine, ...]:
-        return tuple(Machine(e, self._unitaries) for e in self.encodings)
+        runs, cells = self.runs
+        return tuple(Machine(e, runs[r]) for e, r in zip(self.encodings, cells[:, 1].tolist()))
 
     def _counts_entry(self, rel: RelationTable, params: AgreementParams) -> "_CountsEntry":
         key = (rel.n, rel.members.tobytes(), params.eta)
         entry = self._counts.get(key)
         if entry is None:
             entry = self._counts[key] = _CountsEntry(factored_agreement_counts(
-                [(m, [shared_unitary(self._unitaries, sd, m) for sd in sds])
-                 for m, sds in self.design_sets],
-                self.accepting_sets, self.rows, rel, params))
+                *self.runs, self.accepting_sets, rel, params))
             if len(self._counts) > COUNTS_MEMO_SIZE:
                 self._counts.popitem(last=False)
         else:
@@ -244,9 +264,11 @@ def enumerate_pool(cfg: PoolConfig) -> MachinePool:
     A pool of more than ``hard_cap`` or MAX_LIVE_AMPLITUDES encodings raises
     PoolTooLarge from its closed-form size, before anything is built.
     """
-    size = pool_size(cfg)
-    if size > cfg.hard_cap:
-        raise PoolTooLarge(f"pool would hold {size} encodings, cap is {cfg.hard_cap}")
+    limit = max(cfg.hard_cap, MAX_LIVE_AMPLITUDES)
+    size = _pool_size_within(cfg, limit)
+    if size is None or size > cfg.hard_cap:
+        held = f"more than {limit}" if size is None else size
+        raise PoolTooLarge(f"pool would hold {held} encodings, cap is {cfg.hard_cap}")
     if size > MAX_LIVE_AMPLITUDES:
         raise PoolTooLarge(f"pool would hold {size} encodings, more than the "
                            f"{MAX_LIVE_AMPLITUDES} a pool may hold")

@@ -6,13 +6,14 @@ mass on the accepting set; agreement with a relation at threshold eta is
 evaluated exactly from amplitudes, never by sampling.
 
 ``factored_agreement_counts`` computes every machine's agreement count in
-one batched walk of the input trie, over machines given as (accepting set,
-design set) factors, the form in which ``MachinePool`` holds them.  The
-per-input reference it is tested against lives with the tests.
+one batched walk of the input trie over the distinct runs of a pool
+(``distinct_runs``), which ``MachinePool`` builds once.  The per-input
+reference it is tested against lives with the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,31 +113,39 @@ class RelationTable:
         return f"RelationTable(n={self.n}, size={self.size})"
 
 
-UnitaryCache = dict[tuple[SymbolDesign, int], np.ndarray]
+Run = tuple[np.ndarray, ...]  # one (2^m, 2^m) unitary per symbol, in SYMBOLS order
 
 
-def shared_unitary(cache: UnitaryCache, sd: SymbolDesign, m: int) -> np.ndarray:
-    """Read-only entries of ``symbol_unitary(sd, m)``, built once per ``cache``."""
-    entries = cache.get((sd, m))
-    if entries is None:
-        entries = cache[sd, m] = symbol_unitary(sd, m).entries
-    return entries
+def distinct_runs(design_sets: Sequence[tuple[int, Sequence[SymbolDesign]]]
+                  ) -> tuple[tuple[Run, ...], np.ndarray]:
+    """The distinct runs of the design sets, numbered in order of first appearance,
+    and the run of each.  Each distinct symbol design is built once per qubit count;
+    design sets of one qubit count whose unitaries are equal byte for byte run alike."""
+    build = cache(lambda sd, m: symbol_unitary(sd, m).entries)
+    runs: dict[tuple[int, bytes], tuple[int, Run]] = {}  # key -> (number, unitaries)
+    run_of = []
+    for m, designs in design_sets:
+        unitaries = tuple(build(sd, m) for sd in designs)
+        key = (m, b"".join(u.tobytes() for u in unitaries))
+        run_of.append(runs.setdefault(key, (len(runs), unitaries))[0])
+    return tuple(run for _, run in runs.values()), np.array(run_of, dtype=np.intp)
 
 
 class Machine:
-    """A machine encoding together with its cached symbol unitaries.
-
-    Machines built with the same ``shared`` cache (see ``shared_unitary``)
-    build each distinct symbol unitary once and share the arrays.
-    """
+    """A machine encoding with its symbol unitaries: a given ``Run``, such as a
+    pool's (``distinct_runs``), or else its own, built from the encoding."""
 
     __slots__ = ("encoding", "_unitaries")
 
-    def __init__(self, encoding: MachineEncoding, shared: Optional[UnitaryCache] = None):
+    def __init__(self, encoding: MachineEncoding, unitaries: Optional[Sequence] = None):
         self.encoding = encoding
-        cache = {} if shared is None else shared
-        self._unitaries = {symbol: shared_unitary(cache, sd, encoding.m)
-                           for symbol, sd in zip(SYMBOLS, encoding.symbol_designs)}
+        if unitaries is None:
+            unitaries = [symbol_unitary(sd, encoding.m).entries for sd in encoding.symbol_designs]
+        square = (encoding.states,) * 2
+        if (not isinstance(unitaries, (tuple, list)) or len(unitaries) != len(SYMBOLS)
+                or any(not isinstance(u, np.ndarray) or u.shape != square for u in unitaries)):
+            raise ValueError(f"need {len(SYMBOLS)} {square} arrays, one per symbol")
+        self._unitaries = dict(zip(SYMBOLS, unitaries))
 
     @property
     def lambda0(self) -> np.ndarray:
@@ -191,43 +200,33 @@ def e_operator(mach: Machine, x: str) -> HermitianOperator:
     return HermitianOperator(u @ mach.lambda0 @ u.conj().T)
 
 
-def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarray]]],
-                              accepting_sets: Sequence[tuple[int, ...]], rows: np.ndarray,
-                              rel: RelationTable, params: AgreementParams) -> np.ndarray:
-    """Read-only agreement counts, over all 2^n inputs, of machines given by their factors.
+def factored_agreement_counts(runs: Sequence[Run], cells: np.ndarray,
+                              accepting_sets: Sequence[tuple[int, ...]], rel: RelationTable,
+                              params: AgreementParams) -> np.ndarray:
+    """Read-only agreement counts, over all 2^n inputs, of machines given by their cells.
 
-    Machine r accepts on ``accepting_sets[rows[r, 0]]`` and runs the design
-    set ``design_sets[rows[r, 1]]``, a qubit count with its symbol unitaries
-    in SYMBOLS order.  Machines whose design sets hold equal unitaries share
-    one run per input, so one design set per distinct run of each qubit
-    count is stacked and the input trie is walked breadth-first over the
-    stack: every prefix state is computed once, in blocks holding at most
-    about MAX_LIVE_AMPLITUDES amplitudes or acceptance probabilities.  An
-    (accepting sets, 2^m) 0/1 mask then turns each run's final
-    probabilities into the acceptance probability of every accepting set at
-    once, and each chunk of inputs adds its verdicts to a count per (run,
-    accepting set) pair, which each machine reads once at the end; no
+    Machine r accepts on ``accepting_sets[cells[r, 0]]`` and makes the run
+    ``runs[cells[r, 1]]`` (see ``distinct_runs``).  The runs of each qubit count
+    are stacked and the input trie is walked breadth-first over the stack: every
+    prefix state is computed once, in blocks holding at most about
+    MAX_LIVE_AMPLITUDES amplitudes or acceptance probabilities.  An (accepting
+    sets, 2^m) 0/1 mask turns each run's final probabilities into the acceptance
+    probability of every accepting set, and the verdicts add up to a count per
+    (run, accepting set) pair, which each machine reads once at the end; no
     (s, 2^n) table is held.
     """
     n = rel.n
-    counts = np.zeros(rows.shape[0], dtype=int)
-    qubits = np.array([m for m, _ in design_sets], dtype=np.intp)
-    for m in sorted(set(qubits.tolist())):
-        sets = np.flatnonzero(qubits == m)
-        mine = np.flatnonzero(qubits[rows[:, 1]] == m)
-        used, acc_of = np.unique(rows[mine, 0], return_inverse=True)
-        dim = 1 << m
+    counts = np.zeros(cells.shape[0], dtype=int)
+    dims = np.array([run[0].shape[0] for run in runs], dtype=np.intp)
+    for dim in sorted(set(dims.tolist())):
+        walked = np.flatnonzero(dims == dim)
+        mine = np.flatnonzero(dims[cells[:, 1]] == dim)
+        used, acc_of = np.unique(cells[mine, 0], return_inverse=True)
         mask = np.zeros((used.size, dim))
         for j, a in enumerate(used.tolist()):
             mask[j, list(accepting_sets[a])] = 1.0
-        # design sets whose symbol unitaries are equal byte for byte run alike: number
-        # the runs in order of first appearance and walk the first set of each
-        runs: dict[bytes, int] = {}
-        run_of = np.array([runs.setdefault(b"".join(u.tobytes() for u in design_sets[g][1]),
-                                           len(runs)) for g in sets.tolist()])
-        walked = sets[np.unique(run_of, return_index=True)[1]]
         # transposed unitaries, so that states @ right[sym] applies them to row vectors
-        right = {sym: np.stack([design_sets[g][1][i].T for g in walked.tolist()])
+        right = {sym: np.stack([runs[r][i].T for r in walked.tolist()])
                  for i, sym in enumerate(SYMBOLS)}
         depth = min(n, max(0, (MAX_LIVE_AMPLITUDES // dim).bit_length() - 1))
         per_block = max(1, MAX_LIVE_AMPLITUDES // (max(dim, used.size) << depth))
@@ -235,19 +234,19 @@ def factored_agreement_counts(design_sets: Sequence[tuple[int, Sequence[np.ndarr
         for lo in range(0, walked.size, per_block):
             block = {sym: stack[lo:lo + per_block] for sym, stack in right.items()}
             _fill_block(agree[lo:lo + per_block], block, mask, rel, params, depth)
-        counts[mine] = agree[run_of[np.searchsorted(sets, rows[mine, 1])], acc_of]
+        counts[mine] = agree[np.searchsorted(walked, cells[mine, 1]), acc_of]
     counts.setflags(write=False)
     return counts
 
 
 def _fill_block(agree: np.ndarray, right: dict[str, np.ndarray], mask: np.ndarray,
                 rel: RelationTable, params: AgreementParams, depth: int) -> None:
-    """Add up the verdicts of one block of design sets, 2^depth inputs at a time.
+    """Add up the verdicts of one block of runs, 2^depth inputs at a time.
 
-    ``agree[g, a]`` counts the inputs on which stacked design set g, accepting
+    ``agree[g, a]`` counts the inputs on which stacked run g, accepting
     on mask row a, agrees with the relation.  Each chunk of inputs shares its
     first n - depth bits; the states after that common prefix are computed
-    once per design set and then expanded breadth-first over the last
+    once per run and then expanded breadth-first over the last
     ``depth`` bits.
     """
     n = rel.n

@@ -125,7 +125,6 @@ def phase_distribution(theta: float, k: int) -> np.ndarray:
     angles = (2.0 * np.arange(k) + 1.0) * theta
     dist = (np.abs(np.fft.fft(np.cos(angles))) ** 2
             + np.abs(np.fft.fft(np.sin(angles))) ** 2) / k**2
-    dist = np.maximum(dist, 0.0)
     dist /= dist.sum()
     dist.setflags(write=False)
     return dist

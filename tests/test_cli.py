@@ -88,6 +88,15 @@ class TestRunCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: pool would hold 536870912 encodings")
 
+    def test_pool_size_beyond_every_bound_is_refused_without_building_it(self, capsys):
+        # in-process: the closed-form size 2^400000 has more digits than Python
+        # converts to text, so naming it would fail
+        assert cli_module.main(["run", "--relation", "balanced", "--n", "2",
+                                "--ltuples", "100000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: pool would hold more than "
+                                     f"{qqaf.MAX_LIVE_AMPLITUDES} encodings, cap is 4096\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["--relation", "balanced", "--n", "40"], "error: n=40 gives 2^n inputs"),
         (["--relation", "FILE", "--n", "2"], "error: n=40 gives 2^n inputs"),

@@ -9,7 +9,7 @@ from dense_reference import (JointLearningState, agreement_count,
                              build_joint_state, finalize_preparation)
 from golden import SACC_ALL16
 
-from aeqslearn import (AgreementParams, DesignTuple, GateParams, LearnReport,
+from aeqslearn import (SYMBOLS, AgreementParams, DesignTuple, GateParams, LearnReport,
                        MachineEncoding, MachinePool, PoolConfig, QueryCounter,
                        RelationTable, StateVector, SymbolDesign, UnitaryOperator,
                        amplified_marginal, brute_force_optimum, counting_cdf,
@@ -86,6 +86,13 @@ class TestEnumeratePool:
     def test_too_large_pool_is_rejected(self):
         cfg = PoolConfig(m=1, d=2, l_tuples=1, l_designs=1)
         with pytest.raises(PoolTooLarge, match="65536"):
+            enumerate_pool(cfg)
+
+    def test_huge_pool_is_refused_without_building_its_size(self):
+        # the closed form here has about 4 * 10^9 bits
+        cfg = PoolConfig(m=2, d=1, l_tuples=10**9)
+        with pytest.raises(PoolTooLarge, match=f"^pool would hold more than "
+                                              f"{MAX_LIVE_AMPLITUDES} encodings, cap is 4096$"):
             enumerate_pool(cfg)
 
     def test_qubit_count_is_bounded_before_allocation(self):
@@ -202,6 +209,73 @@ class TestEnumeratePool:
             assert pool.agreement_counts(*keys[i]) is first[i]
         again = pool.agreement_counts(*keys[1])
         assert again is not first[1] and np.array_equal(again, first[1])
+
+
+def counted_unitaries(monkeypatch) -> list:
+    """Record the (design, qubit count) of every symbol unitary the pool builds."""
+    calls = []
+    build = qqaf.symbol_unitary
+
+    def counted(sd, m):
+        calls.append((sd, m))
+        return build(sd, m)
+
+    monkeypatch.setattr(qqaf, "symbol_unitary", counted)
+    return calls
+
+
+def mixed_pool() -> MachinePool:
+    """Random machines at m = 1, 2, 3 on the two-step grid, where many design
+    sets of one qubit count run alike, and the empty design set at each m."""
+    rng = np.random.default_rng(3)
+    encs = [sample_encoding(rng, int(rng.integers(1, 4)), 2, 1, 1) for _ in range(300)]
+    return MachinePool(dict.fromkeys(encs + [make_encoding(m=m) for m in (1, 2, 3)]))
+
+
+class TestRuns:
+    def test_learning_pool_builds_four_unitaries_for_its_81_runs(self, monkeypatch):
+        calls = counted_unitaries(monkeypatch)
+        pool = identity_pool()
+        assert len(pool.design_sets) == 256 and pool.machines
+        for name, n in (("balanced", 3), ("eq", 2), ("parity-even", 3)):
+            pool.agreement_counts(parse_relation(name, n), ETA)
+        runs, cells = pool.runs
+        assert len(runs) == 81 and len(calls) == 4 == len(set(calls))
+        assert cells.shape == (pool.s, 2) and not cells.flags.writeable
+        assert np.array_equal(cells[:, 0], pool.rows[:, 0])
+
+    def test_a_new_relations_counts_build_no_unitary(self, monkeypatch):
+        pool = identity_pool()
+        pool.agreement_counts(parse_relation("balanced", 3), ETA)
+        calls = counted_unitaries(monkeypatch)
+        pool.agreement_counts(parse_relation("majority", 4), ETA)
+        assert calls == []
+
+    @pytest.mark.parametrize("make_pool", [identity_pool, mixed_pool])
+    def test_machines_share_the_arrays_of_their_run(self, make_pool):
+        pool = make_pool()
+        runs, cells = pool.runs
+        for i, (mach, r) in enumerate(zip(pool.machines, cells[:, 1].tolist())):
+            own = qqaf.Machine(pool.encoding(i))
+            for symbol, u in zip(SYMBOLS, runs[r]):
+                assert mach.unitary(symbol) is u
+                assert mach.unitary(symbol).tobytes() == own.unitary(symbol).tobytes()
+        shared = {id(mach.unitary(symbol)) for mach in pool.machines for symbol in SYMBOLS}
+        assert len(shared) < 4 * pool.s
+
+    def test_runs_never_merge_across_qubit_counts(self):
+        pool = mixed_pool()
+        runs, run_of = qqaf.distinct_runs(pool.design_sets)
+        # design sets run alike exactly when their qubit count and their four
+        # unitaries' bytes are equal, and runs are numbered by first appearance
+        keys = [(m, tuple(gates.symbol_unitary(sd, m).entries.tobytes() for sd in sds))
+                for m, sds in pool.design_sets]
+        numbered = {}
+        assert run_of.tolist() == [numbered.setdefault(key, len(numbered)) for key in keys]
+        assert len(runs) == len(numbered) < len(pool.design_sets)
+        assert ([runs[r][0].shape for r in run_of.tolist()]
+                == [(1 << m, 1 << m) for m, _ in pool.design_sets])
+        assert {run[0].shape[0] for run in runs} == {2, 4, 8}
 
 
 def counted_groupings(monkeypatch) -> list:

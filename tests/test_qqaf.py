@@ -96,6 +96,18 @@ class TestRun:
         assert np.allclose(run(mach, "01").amplitudes, v, atol=1e-12)
 
 
+    def test_refuses_other_than_four_square_arrays(self):
+        enc = sample_encoding(np.random.default_rng(2), m=2)
+        own = Machine(enc)
+        given = [own.unitary(symbol) for symbol in "L01R"]
+        assert all(Machine(enc, given).unitary(s) is u for s, u in zip("L01R", given))
+        for bad in (given[:3], given * 2, [np.eye(2, dtype=complex)] * 4,
+                    given[:3] + [given[3][:3]], given[:3] + [given[3].tolist()],
+                    np.stack(given), 4):
+            with pytest.raises(ValueError, match=r"need 4 \(4, 4\) arrays, one per symbol"):
+                Machine(enc, bad)
+
+
 class TestAcceptance:
     def test_full_accepting_set(self):
         mach = make_machine(s_acc=(0, 1), L=gate_design(WH_PARAMS))

@@ -336,21 +336,34 @@ class TestRoundedCounts:
     def test_rounded_counts_hold_at_every_run_break(self):
         # every count of 2^n, n <= 12, at every k <= 4096: v on each break of
         # the runs and one ulp of u either side.  A law depends only on
-        # count / 2^n, so each is built once, at n = 12.
+        # count / 2^n, so each is built once, at n = 12, and maps the break
+        # uniforms of every n it serves in one pass.
         top = self.NS[-1]
         hits = 0
         for k in self.KS:
-            ends = {n: np.flatnonzero(np.diff(rounded_table(n, k))) for n in self.NS}
+            ends = [np.flatnonzero(np.diff(rounded_table(n, k))) for n in self.NS]
+            # the laws that serve NS[i:] take break_uniforms of all their run ends
+            # at once: 0, three uniforms per end, 1 - 2^-53; each n takes its share,
+            # which is all of them when n = 12 alone is served
+            served = []
+            for i in range(len(self.NS)):
+                sizes = [3 * e.size for e in ends[i:]]
+                starts = np.cumsum([1] + sizes)
+                shares = [(n, np.r_[0, a:a + size, starts[-1]])
+                          for n, a, size in zip(self.NS[i:], starts, sizes)]
+                served.append((np.concatenate(ends[i:]),
+                               shares if len(shares) > 1 else [(top, slice(None))]))
             for scaled in range((1 << top) + 1):
                 cdf = counting_cdf(scaled, top, k)
-                for n in self.NS:
-                    count, rest = divmod(scaled, 1 << (top - n))
-                    if rest:
-                        continue
-                    u, hit = break_uniforms(cdf, ends[n])
-                    hits += hit
-                    want = np.rint(estimation_outcomes(cdf, u)[2] * (1 << n))
-                    assert (rounded_counts(cdf, u, n) == want).all(), (n, k, count)
+                twos = (scaled & -scaled).bit_length() - 1 if scaled else top
+                all_ends, shares = served[max(0, top - twos - 1)]  # n >= top - twos
+                u, hit = break_uniforms(cdf, all_ends)
+                hits += hit
+                zeta = estimation_outcomes(cdf, u)[2]
+                for n, share in shares:
+                    want = np.rint(zeta[share] * (1 << n))
+                    assert (rounded_counts(cdf, u[share], n) == want).all(), (
+                        n, k, scaled >> (top - n))
         assert hits > 0
 
     def test_rounded_counts_keep_the_shape(self):
